@@ -20,9 +20,12 @@ use crate::durability::{
     SnapshotBinding,
 };
 use crate::error::{CoreError, CoreResult};
-use crate::exec::{execute_plan_instrumented, OpMetrics, QueryResult};
+use crate::exec::{execute_plan_instrumented, OpMetrics, QueryResult, BATCH_ROWS};
 use crate::expr::{eval, eval_predicate, literal_value, Bindings};
-use crate::planner::{plan_select_with, PhysicalPlan, PlannedSelect, PlannerConfig};
+use crate::planner::{
+    choose_index, conjuncts, plan_select_overlaid, resolvable, PhysicalPlan, PlannedSelect,
+    PlannerConfig,
+};
 use crate::session::SessionContext;
 use crate::transactions::{CcState, SessionTxn};
 use neurdb_cc::PolicyMode;
@@ -35,7 +38,9 @@ use neurdb_qo::SystemConditions;
 use neurdb_sql::{
     parse, parse_script, ColumnSpec, Expr, PredictStmt, PredictTask, Statement, TrainOn, TypeName,
 };
-use neurdb_storage::{BufferConfig, ColumnDef, DataType, PolicyKind, Schema, Table, Tuple, Value};
+use neurdb_storage::{
+    BufferConfig, ColumnDef, DataType, PolicyKind, RecordId, Schema, Table, Tuple, Value,
+};
 use neurdb_wal::{DurableStore, DurableStoreOptions, Lsn, WalRecord, SYSTEM_TXN};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
@@ -139,6 +144,36 @@ pub struct PredictionReport {
     pub mid: Mid,
     /// Set when this statement trained a fresh model (first use).
     pub train_outcome: Option<TrainOutcome>,
+}
+
+/// The rows a DML statement's predicate can match, collected in full
+/// before any row changes, so an update that moves rows within the
+/// scanned range never revisits them (the Halloween problem). The
+/// access path is the one a SELECT with the same predicate would take
+/// ([`choose_index`] over the predicate's conjuncts): an index range
+/// when one applies, the whole heap otherwise. Candidates are a
+/// superset of the matches; callers re-apply the full predicate. A
+/// predicate naming an unknown column takes the heap, so it fails on
+/// the first row as it always has.
+pub(crate) fn dml_candidates(
+    t: &Table,
+    env: &Bindings,
+    predicate: Option<&Expr>,
+) -> CoreResult<Vec<(RecordId, Tuple)>> {
+    let conj = predicate.map(conjuncts).unwrap_or_default();
+    let choice = match conj.iter().all(|c| resolvable(c, env)) {
+        true => choose_index(t, env, &conj, t.cached_stats().as_deref()),
+        false => None,
+    };
+    let cursor = choice.and_then(|ic| t.index_scan(ic.col, ic.lo.as_ref(), ic.hi.as_ref()));
+    let Some(mut cursor) = cursor else {
+        return Ok(t.scan()?);
+    };
+    let mut rows = Vec::new();
+    while let Some(batch) = t.index_scan_next(&mut cursor, BATCH_ROWS)? {
+        rows.extend(batch);
+    }
+    Ok(rows)
 }
 
 /// Entries the slow-query log retains before evicting the oldest.
@@ -319,8 +354,8 @@ impl Database {
 
     fn from_store(store: DurableStore) -> Database {
         Database {
+            cc: CcState::new(store.metrics()),
             store: Arc::new(store),
-            cc: CcState::new(),
             ai: AiEngine::new(),
             join_optimizer: Mutex::new(None),
             default_session: Mutex::new(SessionContext::new()),
@@ -516,30 +551,27 @@ impl Database {
     /// statement runs on a snapshot so concurrent [`Database::execute`]
     /// callers never serialize on the session lock for the duration of
     /// a query (cloning a session never clones its transaction, which
-    /// is why the `in_txn` check gates the snapshot path).
+    /// is why the `in_txn` check gates the snapshot path). The trace id
+    /// is minted from the shared session either way, so statements run
+    /// on snapshots never repeat one.
     fn execute_default(&self, stmt: Statement, sql: &str) -> CoreResult<Output> {
         let mut session = self.default_session.lock();
+        let trace_id = session.next_trace_id();
         let must_share = session.in_txn()
             || matches!(
                 stmt,
                 Statement::Set { .. } | Statement::Begin | Statement::Commit | Statement::Rollback
             );
         if must_share {
-            self.execute_statement(&mut session, stmt, sql)
+            self.run_statement(&mut session, trace_id, stmt, sql)
         } else {
             let mut snapshot = session.clone();
             drop(session);
-            self.execute_statement(&mut snapshot, stmt, sql)
+            self.run_statement(&mut snapshot, trace_id, stmt, sql)
         }
     }
 
-    /// The per-statement shell around [`Database::dispatch_statement`]:
-    /// mints the statement's trace id, arms tracing (session force or
-    /// 1-in-N sampling; the untraced path is one branch), times the
-    /// statement end to end (executor teardown included), and files a
-    /// slow-query entry — success *or* failure — when the session's
-    /// `SET slow_query_ms` threshold is met, capturing the span tree
-    /// when one was recorded.
+    /// Mint the statement's trace id from `session` and run it.
     fn execute_statement(
         &self,
         session: &mut SessionContext,
@@ -547,6 +579,22 @@ impl Database {
         sql: &str,
     ) -> CoreResult<Output> {
         let trace_id = session.next_trace_id();
+        self.run_statement(session, trace_id, stmt, sql)
+    }
+
+    /// The per-statement shell around [`Database::dispatch_statement`]:
+    /// arms tracing (session force or 1-in-N sampling; the untraced path
+    /// is one branch), times the statement end to end (executor teardown
+    /// included), and files a slow-query entry — success *or* failure —
+    /// under `trace_id` when the session's `SET slow_query_ms` threshold
+    /// is met, capturing the span tree when one was recorded.
+    fn run_statement(
+        &self,
+        session: &mut SessionContext,
+        trace_id: String,
+        stmt: Statement,
+        sql: &str,
+    ) -> CoreResult<Output> {
         let threshold = session.slow_query_ms();
         let armed = self.tracer.maybe_start(session.trace_force());
         let start = Instant::now();
@@ -654,10 +702,12 @@ impl Database {
                     (rows, metrics)
                 };
                 self.note_operator_metrics(&metrics);
-                *provenance = Some((
-                    planned.join_order.clone(),
-                    planned.plan.render(Some(&metrics)),
-                ));
+                if session.slow_query_ms().is_some() {
+                    *provenance = Some((
+                        planned.join_order.clone(),
+                        planned.plan.render(Some(&metrics)),
+                    ));
+                }
                 Ok(Output::Rows(rows))
             }
             Statement::Predict(p) => self.predict(&p).map(Output::Prediction),
@@ -767,10 +817,12 @@ impl Database {
                     (rows, metrics)
                 };
                 self.note_operator_metrics(&metrics);
-                *provenance = Some((
-                    planned.join_order.clone(),
-                    planned.plan.render(Some(&metrics)),
-                ));
+                if session.slow_query_ms().is_some() {
+                    *provenance = Some((
+                        planned.join_order.clone(),
+                        planned.plan.render(Some(&metrics)),
+                    ));
+                }
                 Ok(Output::Rows(rows))
             }
             Statement::Explain { analyze, stmt } => {
@@ -1228,8 +1280,8 @@ impl Database {
     }
 
     /// Plan a SELECT: resolve its tables *as the session sees them*
-    /// (an open transaction's buffered changes materialize as shadow
-    /// tables — read-your-own-writes), then lower it through the
+    /// (an open transaction's buffered changes ride along as scan
+    /// overlays — read-your-own-writes), then lower it through the
     /// planner (join order via the installed learned optimizer, falling
     /// back to `neurdb-qo`'s cost-based DP).
     fn plan(
@@ -1245,11 +1297,11 @@ impl Database {
             ..session.planner_config().clone()
         };
         let mut resolved = Vec::with_capacity(s.from.len());
+        let mut overlays = Vec::with_capacity(s.from.len());
         for tref in &s.from {
-            resolved.push((
-                tref.binding().to_string(),
-                self.effective_table(session, &tref.name)?,
-            ));
+            let (table, overlay) = self.effective_table(session, &tref.name)?;
+            resolved.push((tref.binding().to_string(), table));
+            overlays.push(overlay);
         }
         // Only hold the optimizer lock when a learned model will actually
         // be consulted (it is stateful); planning with the DP baseline —
@@ -1267,10 +1319,10 @@ impl Database {
                 let learned = opt
                     .as_mut()
                     .map(|b| &mut **b as &mut dyn neurdb_qo::Optimizer);
-                return plan_select_with(s, &resolved, learned, config);
+                return plan_select_overlaid(s, &resolved, &overlays, learned, config);
             }
         }
-        plan_select_with(s, &resolved, None, config)
+        plan_select_overlaid(s, &resolved, &overlays, None, config)
     }
 
     /// `EXPLAIN [ANALYZE] SELECT ...`: render the physical plan (and,
@@ -1618,7 +1670,7 @@ impl Database {
             })
             .collect::<CoreResult<_>>()?;
         let mut n = 0;
-        for (rid, row) in t.scan()? {
+        for (rid, row) in dml_candidates(&t, &env, predicate)? {
             let hit = match predicate {
                 Some(p) => eval_predicate(p, &row, &env)?,
                 None => true,
@@ -1641,7 +1693,7 @@ impl Database {
         let names = t.schema.names();
         let env = Bindings::for_table(table, &names);
         let mut n = 0;
-        for (rid, row) in t.scan()? {
+        for (rid, row) in dml_candidates(&t, &env, predicate)? {
             let hit = match predicate {
                 Some(p) => eval_predicate(p, &row, &env)?,
                 None => true,

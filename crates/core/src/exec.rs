@@ -48,11 +48,12 @@
 use crate::error::CoreError;
 use crate::expr::{eval, Bindings};
 use crate::planner::{plan_select, PhysicalPlan};
+use crate::transactions::ScanOverlay;
 use crate::vector::{PredicateSet, ProjectionSet};
 use crossbeam::channel;
 use neurdb_obs::trace;
 use neurdb_sql::{AggFunc, Expr, SelectItem, SelectStmt, SortOrder};
-use neurdb_storage::{AccessHint, HeapBatchScan, Table, Tuple, Value};
+use neurdb_storage::{AccessHint, HeapBatchScan, RecordId, Table, Tuple, Value};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -248,6 +249,7 @@ fn build_operator(
             table,
             predicates,
             env,
+            overlay,
             ..
         } => {
             let cursor = match partition.take() {
@@ -257,6 +259,7 @@ fn build_operator(
             Box::new(SeqScanOp {
                 cursor,
                 predicates: PredicateSet::compile(predicates, env),
+                overlay: overlay.clone(),
             })
         }
         PhysicalPlan::IndexScan {
@@ -266,6 +269,7 @@ fn build_operator(
             hi,
             predicates,
             env,
+            overlay,
             ..
         } => {
             let compiled = PredicateSet::compile(predicates, env);
@@ -274,6 +278,7 @@ fn build_operator(
                     table: table.clone(),
                     cursor,
                     predicates: compiled,
+                    overlay: overlay.clone(),
                 }),
                 // Index dropped between planning and execution: the
                 // sequential sweep with the same residual predicates is
@@ -281,6 +286,7 @@ fn build_operator(
                 None => Box::new(SeqScanOp {
                     cursor: table.scan_batches_hinted(BATCH_ROWS, AccessHint::Sequential),
                     predicates: compiled,
+                    overlay: overlay.clone(),
                 }),
             }
         }
@@ -533,18 +539,48 @@ fn build_partitioned_join(
 
 // ------------------------------- scans -------------------------------
 
+/// The tuples of one heap or index batch a scan may emit: all of them,
+/// or — under a transaction overlay — those whose record id the overlay
+/// does not hide. The overlay check is per batch, not per row, when
+/// there is none.
+fn visible_rows(raw: Vec<(RecordId, Tuple)>, overlay: Option<&ScanOverlay>) -> Vec<Tuple> {
+    match overlay {
+        None => raw.into_iter().map(|(_, t)| t).collect(),
+        Some(ov) => raw
+            .into_iter()
+            .filter(|(rid, _)| !ov.hidden.contains(rid))
+            .map(|(_, t)| t)
+            .collect(),
+    }
+}
+
+/// A scan's last batch once its cursor is exhausted: the overlay's rows
+/// that pass the scan's predicates. Taking the overlay makes it emit
+/// exactly once.
+fn overlay_tail(
+    overlay: &mut Option<Arc<ScanOverlay>>,
+    predicates: &PredicateSet,
+) -> Result<Option<Batch>, CoreError> {
+    let Some(ov) = overlay.take() else {
+        return Ok(None);
+    };
+    let out = predicates.filter_rows(ov.rows.clone())?;
+    Ok((!out.is_empty()).then_some(out))
+}
+
 struct SeqScanOp {
     cursor: HeapBatchScan,
     predicates: PredicateSet,
+    overlay: Option<Arc<ScanOverlay>>,
 }
 
 impl Operator for SeqScanOp {
     fn next_batch(&mut self) -> Result<Option<Batch>, CoreError> {
         loop {
             let Some(raw) = self.cursor.next_batch()? else {
-                return Ok(None);
+                return overlay_tail(&mut self.overlay, &self.predicates);
             };
-            let rows: Vec<Tuple> = raw.into_iter().map(|(_, t)| t).collect();
+            let rows = visible_rows(raw, self.overlay.as_deref());
             let out = self.predicates.filter_rows(rows)?;
             if !out.is_empty() {
                 return Ok(Some(out));
@@ -557,15 +593,16 @@ struct IndexScanOp {
     table: Arc<Table>,
     cursor: neurdb_storage::TableIndexScan,
     predicates: PredicateSet,
+    overlay: Option<Arc<ScanOverlay>>,
 }
 
 impl Operator for IndexScanOp {
     fn next_batch(&mut self) -> Result<Option<Batch>, CoreError> {
         loop {
             let Some(raw) = self.table.index_scan_next(&mut self.cursor, BATCH_ROWS)? else {
-                return Ok(None);
+                return overlay_tail(&mut self.overlay, &self.predicates);
             };
-            let rows: Vec<Tuple> = raw.into_iter().map(|(_, t)| t).collect();
+            let rows = visible_rows(raw, self.overlay.as_deref());
             let out = self.predicates.filter_rows(rows)?;
             if !out.is_empty() {
                 return Ok(Some(out));

@@ -25,6 +25,7 @@
 use crate::error::CoreError;
 use crate::exec::{collect_aggs, item_name};
 use crate::expr::{literal_value, Bindings, EvalError};
+use crate::transactions::ScanOverlay;
 use neurdb_qo::{
     dp_best_plan, JoinEdge, JoinGraph, Optimizer, PlanTree, SystemConditions, TableInfo,
 };
@@ -72,7 +73,9 @@ pub enum PhysicalPlan {
     /// Sequential scan over a table's heap with pushed-down predicates,
     /// pulled in batches via `Table::scan_batches`. With `dop > 1` the
     /// scan runs under an [`PhysicalPlan::Exchange`]: each worker drains
-    /// one page-range partition (`Table::scan_partitions`).
+    /// one page-range partition (`Table::scan_partitions`). `overlay` is
+    /// the open transaction's pending changes to merge in (always at
+    /// `dop = 1`, so its rows are emitted exactly once).
     SeqScan {
         table: Arc<Table>,
         binding: String,
@@ -80,12 +83,14 @@ pub enum PhysicalPlan {
         env: Bindings,
         est_rows: f64,
         dop: usize,
+        overlay: Option<Arc<ScanOverlay>>,
     },
     /// B-tree index scan: a range/point cursor over `col`'s index narrows
     /// the heap to matching rids; `predicates` (every pushed-down
     /// conjunct, including the ones the bounds came from) re-filter the
     /// fetched rows, so inclusive index bounds stay exact for strict
-    /// comparisons.
+    /// comparisons. `overlay` as for [`PhysicalPlan::SeqScan`]; its rows
+    /// pass `predicates` only, never the bounds.
     IndexScan {
         table: Arc<Table>,
         binding: String,
@@ -96,6 +101,7 @@ pub enum PhysicalPlan {
         predicates: Vec<Expr>,
         env: Bindings,
         est_rows: f64,
+        overlay: Option<Arc<ScanOverlay>>,
     },
     /// Parallelism boundary (Gather): `dop` workers each execute a copy
     /// of the child fragment over their own scan partition and stream
@@ -395,11 +401,11 @@ const BLIND_EQ_SEL: f64 = 0.05;
 pub const PARALLEL_MIN_EST_ROWS: f64 = 512.0;
 
 /// An index access path chosen for a scan.
-struct IndexChoice {
-    col: usize,
+pub(crate) struct IndexChoice {
+    pub(crate) col: usize,
     col_name: String,
-    lo: Option<Value>,
-    hi: Option<Value>,
+    pub(crate) lo: Option<Value>,
+    pub(crate) hi: Option<Value>,
     /// Estimated selectivity of the bounds alone.
     sel: f64,
 }
@@ -410,8 +416,10 @@ struct IndexChoice {
 /// Bounds are accumulated across conjuncts on the same column
 /// (`a > 5 AND a < 9` becomes one `[5, 9]` cursor); strict bounds stay
 /// inclusive here because the scan re-applies every conjunct as a
-/// residual filter.
-fn choose_index(
+/// residual filter. SELECT scans and DML candidate collection
+/// ([`crate::database::dml_candidates`]) both pick their access path
+/// here.
+pub(crate) fn choose_index(
     table: &Table,
     env: &Bindings,
     predicates: &[Expr],
@@ -518,6 +526,8 @@ struct ScanInfo {
     index: Option<IndexChoice>,
     /// Morsel workers for a sequential scan (1 = serial).
     dop: usize,
+    /// The open transaction's pending changes to this table.
+    overlay: Option<Arc<ScanOverlay>>,
 }
 
 /// Plan a SELECT over resolved tables (`binding name -> table`) with the
@@ -536,6 +546,19 @@ pub fn plan_select(
 pub fn plan_select_with(
     stmt: &SelectStmt,
     tables: &[(String, Arc<Table>)],
+    learned: Option<&mut dyn Optimizer>,
+    config: &PlannerConfig,
+) -> Result<PlannedSelect, CoreError> {
+    plan_select_overlaid(stmt, tables, &[], learned, config)
+}
+
+/// [`plan_select_with`] where `overlays[i]` (missing = none) carries an
+/// open transaction's pending changes to `tables[i]`; that table's scan
+/// merges them in and stays serial.
+pub(crate) fn plan_select_overlaid(
+    stmt: &SelectStmt,
+    tables: &[(String, Arc<Table>)],
+    overlays: &[Option<Arc<ScanOverlay>>],
     mut learned: Option<&mut dyn Optimizer>,
     config: &PlannerConfig,
 ) -> Result<PlannedSelect, CoreError> {
@@ -548,7 +571,7 @@ pub fn plan_select_with(
     //    fetched only when a join graph will consume them.
     let need_stats = tables.len() >= 2;
     let mut scans: Vec<ScanInfo> = Vec::with_capacity(tables.len());
-    for (binding, table) in tables {
+    for (i, (binding, table)) in tables.iter().enumerate() {
         let names = table.schema.names();
         scans.push(ScanInfo {
             binding: binding.clone(),
@@ -565,6 +588,7 @@ pub fn plan_select_with(
             est_rows: 0.0,
             index: None,
             dop: 1,
+            overlay: overlays.get(i).cloned().flatten(),
         });
     }
     let all_conjuncts: Vec<Expr> = stmt.predicate.as_ref().map(conjuncts).unwrap_or_default();
@@ -598,9 +622,9 @@ pub fn plan_select_with(
             &scan.predicates,
             scan.stats.as_deref(),
         );
-        scan.dop = match scan.index {
-            Some(_) => 1,
-            None => scan_dop(&scan.table, input_rows, config),
+        scan.dop = match (&scan.index, &scan.overlay) {
+            (None, None) => scan_dop(&scan.table, input_rows, config),
+            _ => 1,
         };
     }
     let n = scans.len();
@@ -1021,6 +1045,7 @@ impl JoinBuilder<'_> {
                         predicates: s.predicates.clone(),
                         env: s.env.clone(),
                         est_rows: s.est_rows,
+                        overlay: s.overlay.clone(),
                     },
                     None => {
                         let scan = PhysicalPlan::SeqScan {
@@ -1030,6 +1055,7 @@ impl JoinBuilder<'_> {
                             env: s.env.clone(),
                             est_rows: s.est_rows,
                             dop: s.dop,
+                            overlay: s.overlay.clone(),
                         };
                         if s.dop > 1 {
                             PhysicalPlan::Exchange {
@@ -1184,6 +1210,7 @@ impl PhysicalPlan {
                 predicates,
                 est_rows,
                 dop,
+                overlay,
                 ..
             } => {
                 let name = if *binding == table.name {
@@ -1196,7 +1223,8 @@ impl PhysicalPlan {
                 } else {
                     format!(" filter=[{}]", exprs_sql(predicates))
                 };
-                format!("SeqScan({name}){filter} (est={est_rows:.0} rows, dop={dop})")
+                let overlay = overlay_note(overlay);
+                format!("SeqScan({name}){filter}{overlay} (est={est_rows:.0} rows, dop={dop})")
             }
             PhysicalPlan::IndexScan {
                 table,
@@ -1206,6 +1234,7 @@ impl PhysicalPlan {
                 hi,
                 predicates,
                 est_rows,
+                overlay,
                 ..
             } => {
                 let name = if *binding == table.name {
@@ -1226,7 +1255,8 @@ impl PhysicalPlan {
                 } else {
                     format!(" filter=[{}]", exprs_sql(predicates))
                 };
-                format!("IndexScan({name} {bounds}){filter} (est={est_rows:.0} rows)")
+                let overlay = overlay_note(overlay);
+                format!("IndexScan({name} {bounds}){filter}{overlay} (est={est_rows:.0} rows)")
             }
             PhysicalPlan::Exchange { dop, .. } => format!("Gather(dop={dop})"),
             PhysicalPlan::PartialHashAggregate { group_by, .. } => {
@@ -1374,6 +1404,15 @@ impl PhysicalPlan {
                 metrics,
             );
         }
+    }
+}
+
+/// EXPLAIN annotation of a scan's transaction overlay: record ids it
+/// hides and rows it adds.
+fn overlay_note(overlay: &Option<Arc<ScanOverlay>>) -> String {
+    match overlay {
+        Some(ov) => format!(" overlay=[-{} +{}]", ov.hidden.len(), ov.rows.len()),
+        None => String::new(),
     }
 }
 

@@ -24,12 +24,12 @@
 //!   checkpoint's quiesce never waits on an open user transaction.
 //!
 //! The tradeoff versus in-place version chains: read-your-own-writes
-//! needs overlay-aware statement execution (in-transaction `SELECT`s
-//! run against an ephemeral shadow table merging heap + overlay), and a
-//! very large transaction buffers its whole write set in memory. For
-//! the OLTP-shaped transactions the paper's CC section studies (YCSB /
-//! TPC-C, a handful of ops each) the O(1) abort and the untouched read
-//! path are the better end of the trade.
+//! needs overlay-aware statement execution (an in-transaction `SELECT`'s
+//! scans hide the record ids the overlay changed and append its rows —
+//! see [`ScanOverlay`]), and a very large transaction buffers its whole
+//! write set in memory. For the OLTP-shaped transactions the paper's CC
+//! section studies (YCSB / TPC-C, a handful of ops each) the O(1) abort
+//! and the untouched read path are the better end of the trade.
 //!
 //! # Learned CC on the serving path
 //!
@@ -43,29 +43,24 @@
 //! adaptation loop (`SET cc_adapt_every = n` re-tunes every n
 //! completed transactions; [`Database::cc_adapt_now`] forces a round).
 
-use crate::database::{Database, Output};
+use crate::database::{dml_candidates, Database, Output};
 use crate::error::{CoreError, CoreResult};
 use crate::exec::QueryResult;
 use crate::expr::{eval, eval_predicate, Bindings};
 use crate::session::SessionContext;
 use neurdb_cc::LivePolicy;
-use neurdb_obs::trace;
+use neurdb_obs::{trace, Counter, Histogram, MetricsRegistry};
 use neurdb_sql::Expr;
-use neurdb_storage::{BufferPool, DiskManager, RecordId, Table, Tuple, Value};
+use neurdb_storage::{RecordId, StorageError, Table, Tuple, Value};
 use neurdb_txn::{CcPolicy, EngineConfig, Txn, TxnEngine, TxnError};
 use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::BTreeMap;
+use std::collections::{btree_map, BTreeMap, HashSet};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Frames for the ephemeral buffer pool behind an in-transaction
-/// `SELECT`'s shadow table; the pool spills to its private in-memory
-/// disk, so this bounds residency, not table size.
-const SHADOW_POOL_FRAMES: usize = 256;
 
 /// Default ops hint handed to the engine for interactive transactions
 /// (the learned policy's "txn length" feature).
@@ -125,6 +120,31 @@ impl TableOverlay {
     pub(crate) fn is_empty(&self) -> bool {
         self.modified.is_empty() && self.inserted.is_empty()
     }
+
+    /// The read-side view of this overlay, built in O(overlay).
+    fn scan_snapshot(&self) -> ScanOverlay {
+        ScanOverlay {
+            hidden: self.modified.keys().copied().collect(),
+            rows: self
+                .modified
+                .values()
+                .filter_map(|ch| ch.new.clone())
+                .chain(self.inserted.iter().cloned())
+                .collect(),
+        }
+    }
+}
+
+/// What a scan inside a transaction merges into the shared heap for
+/// read-your-own-writes: heap and index batches drop the `hidden` record
+/// ids (rows this transaction updated or deleted), and once the cursor
+/// is exhausted the scan emits the `rows` that pass its predicates (the
+/// surviving after-images, then the pending inserts). Index bounds are
+/// never applied to `rows` — an after-image's key may lie outside them.
+#[derive(Debug)]
+pub struct ScanOverlay {
+    pub(crate) hidden: HashSet<RecordId>,
+    pub(crate) rows: Vec<Tuple>,
 }
 
 /// A live transaction owned by a session.
@@ -192,6 +212,8 @@ pub(crate) struct CcState {
     pub(crate) commit_lock: Mutex<()>,
     /// Completed user transactions (commit + abort + rollback).
     pub(crate) completions: AtomicU64,
+    /// Registry handles of the transaction counters, resolved once.
+    pub(crate) metrics: TxnMetrics,
     /// Run the two-phase adaptation loop every n completions (0 = off;
     /// `SET cc_adapt_every = n`). On by default: the learned model's
     /// immediate-abort action is only rescued by adaptation — under a
@@ -205,8 +227,32 @@ pub(crate) struct CcState {
 /// Default adaptation cadence (in completed transactions).
 const ADAPT_EVERY_DEFAULT: u64 = 64;
 
+/// The transaction counters of the metrics registry, looked up once when
+/// the database opens instead of through the registry's map on every use.
+pub(crate) struct TxnMetrics {
+    /// `cc.decisions`: operations that consulted the CC engine.
+    pub(crate) decisions: Arc<Counter>,
+    pub(crate) commits: Arc<Counter>,
+    pub(crate) aborts: Arc<Counter>,
+    pub(crate) rollbacks: Arc<Counter>,
+    /// `txn.commit_ns`: COMMIT latency, validation through durability.
+    pub(crate) commit_ns: Arc<Histogram>,
+}
+
+impl TxnMetrics {
+    fn new(reg: &MetricsRegistry) -> TxnMetrics {
+        TxnMetrics {
+            decisions: reg.counter("cc.decisions"),
+            commits: reg.counter("txn.commits"),
+            aborts: reg.counter("txn.aborts"),
+            rollbacks: reg.counter("txn.rollbacks"),
+            commit_ns: reg.histogram("txn.commit_ns"),
+        }
+    }
+}
+
 impl CcState {
-    pub(crate) fn new() -> CcState {
+    pub(crate) fn new(metrics: &MetricsRegistry) -> CcState {
         let live = Arc::new(LivePolicy::new(0x005e_edcc));
         let engine = Arc::new(TxnEngine::new(
             live.clone() as Arc<dyn CcPolicy>,
@@ -217,6 +263,7 @@ impl CcState {
             live,
             commit_lock: Mutex::new(()),
             completions: AtomicU64::new(0),
+            metrics: TxnMetrics::new(metrics),
             adapt_every: AtomicU64::new(ADAPT_EVERY_DEFAULT),
         }
     }
@@ -224,6 +271,34 @@ impl CcState {
 
 fn conflict_err(e: TxnError) -> CoreError {
     CoreError::Unsupported(format!("concurrency-control conflict: {e:?}"))
+}
+
+/// The committed rows an in-transaction `UPDATE`/`DELETE` may match, as
+/// `(rid, heap row)` in record-id order: the index-targeted
+/// [`dml_candidates`] plus every rid the overlay already changed, since
+/// an after-image's key may have left the index range. A changed rid
+/// whose heap row a concurrent commit deleted is skipped, as a heap scan
+/// would skip it.
+fn txn_candidates(
+    t: &Table,
+    env: &Bindings,
+    predicate: Option<&Expr>,
+    ov: &TableOverlay,
+) -> CoreResult<BTreeMap<RecordId, Tuple>> {
+    let mut rows: BTreeMap<RecordId, Tuple> =
+        dml_candidates(t, env, predicate)?.into_iter().collect();
+    for &rid in ov.modified.keys() {
+        if let btree_map::Entry::Vacant(slot) = rows.entry(rid) {
+            match t.get(rid) {
+                Ok(row) => {
+                    slot.insert(row);
+                }
+                Err(StorageError::SlotNotFound { .. }) => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+    }
+    Ok(rows)
 }
 
 // ------------------------ Database txn methods -------------------------
@@ -258,7 +333,7 @@ impl Database {
             Some(SessionTxn::Failed { .. }) => Ok(Output::Affected(0)),
             Some(SessionTxn::Active(at)) => {
                 self.cc.engine.abort(at.handle);
-                self.store().metrics().counter("txn.rollbacks").inc();
+                self.cc.metrics.rollbacks.inc();
                 self.note_txn_completion();
                 Ok(Output::Affected(0))
             }
@@ -289,7 +364,7 @@ impl Database {
             Some(SessionTxn::Active(at)) => {
                 let id = at.handle.id;
                 self.cc.engine.abort(at.handle);
-                self.store().metrics().counter("txn.aborts").inc();
+                self.cc.metrics.aborts.inc();
                 self.note_txn_completion();
                 session.txn = Some(SessionTxn::Failed { id });
                 id
@@ -309,7 +384,7 @@ impl Database {
     pub fn rollback_session(&self, session: &mut SessionContext) {
         if let Some(SessionTxn::Active(at)) = session.txn.take() {
             self.cc.engine.abort(at.handle);
-            self.store().metrics().counter("txn.rollbacks").inc();
+            self.cc.metrics.rollbacks.inc();
             self.note_txn_completion();
         }
     }
@@ -367,7 +442,7 @@ impl Database {
         if let Err(e) = self.cc.engine.commit(handle) {
             drop(cc_span);
             drop(guard);
-            self.store().metrics().counter("txn.aborts").inc();
+            self.cc.metrics.aborts.inc();
             self.note_txn_completion();
             return Err(CoreError::TxnAborted {
                 txn: id,
@@ -416,7 +491,7 @@ impl Database {
         drop(guard);
 
         if let Some(e) = apply_err {
-            self.store().metrics().counter("txn.aborts").inc();
+            self.cc.metrics.aborts.inc();
             self.note_txn_completion();
             return Err(e);
         }
@@ -427,17 +502,15 @@ impl Database {
             sp.attr("lsn", lsn);
             self.store().wait_durable(lsn)?;
         }
-        let m = self.store().metrics();
-        m.counter("txn.commits").inc();
-        m.histogram("txn.commit_ns")
-            .record_duration(start.elapsed());
+        self.cc.metrics.commits.inc();
+        self.cc.metrics.commit_ns.record_duration(start.elapsed());
         self.note_txn_completion();
         Ok(Output::Affected(0))
     }
 
     fn commit_conflict(&self, handle: Txn, id: u64, message: String) -> CoreResult<Output> {
         self.cc.engine.abort(handle);
-        self.store().metrics().counter("txn.aborts").inc();
+        self.cc.metrics.aborts.inc();
         self.note_txn_completion();
         Err(CoreError::TxnAborted { txn: id, message })
     }
@@ -488,7 +561,7 @@ impl Database {
     /// Policy-mediated engine read; every call is one consulted CC
     /// decision (`cc.decisions`).
     fn cc_read(&self, handle: &mut Txn, key: u64) -> CoreResult<u64> {
-        self.store().metrics().counter("cc.decisions").inc();
+        self.cc.metrics.decisions.inc();
         self.cc.engine.read(handle, key).map_err(conflict_err)
     }
 
@@ -496,7 +569,7 @@ impl Database {
     /// unused by the SQL facade; the key's lock/version state is what
     /// matters).
     fn cc_write(&self, handle: &mut Txn, key: u64) -> CoreResult<()> {
-        self.store().metrics().counter("cc.decisions").inc();
+        self.cc.metrics.decisions.inc();
         self.cc.engine.write(handle, key, 0).map_err(conflict_err)
     }
 
@@ -515,7 +588,7 @@ impl Database {
         for name in tables {
             let ek = epoch_key(name);
             self.cc.engine.ensure(ek);
-            self.store().metrics().counter("cc.decisions").inc();
+            self.cc.metrics.decisions.inc();
             self.cc
                 .engine
                 .read(&mut at.handle, ek)
@@ -589,82 +662,7 @@ impl Database {
         assignments: &[(String, Expr)],
         predicate: Option<&Expr>,
     ) -> CoreResult<usize> {
-        let t = self.table(table)?;
-        let names = t.schema.names();
-        let env = Bindings::for_table(table, &names);
-        let targets: Vec<usize> = assignments
-            .iter()
-            .map(|(c, _)| {
-                t.schema
-                    .column_index(c)
-                    .ok_or_else(|| CoreError::UnknownColumn(c.clone()))
-            })
-            .collect::<CoreResult<_>>()?;
-        let ek = epoch_key(table);
-        self.cc.engine.ensure(ek);
-        self.cc_read(&mut at.handle, ek)?;
-        let scan = t.scan()?;
-        let mut n = 0;
-        let ov = at.overlays.entry(table.to_string()).or_default();
-        for (rid, heap_row) in scan {
-            let effective = match ov.modified.get(&rid) {
-                Some(RowChange { new: None, .. }) => continue,
-                Some(RowChange { new: Some(cur), .. }) => cur.clone(),
-                None => heap_row.clone(),
-            };
-            let hit = match predicate {
-                Some(p) => eval_predicate(p, &effective, &env)?,
-                None => true,
-            };
-            if !hit {
-                continue;
-            }
-            let rk = row_key(table, rid);
-            self.cc.engine.ensure(rk);
-            {
-                let m = self.store().metrics();
-                m.counter("cc.decisions").add(2);
-            }
-            self.cc
-                .engine
-                .read(&mut at.handle, rk)
-                .map_err(conflict_err)?;
-            self.cc
-                .engine
-                .write(&mut at.handle, rk, 0)
-                .map_err(conflict_err)?;
-            let mut new_row = effective.clone();
-            for ((_, expr), &pos) in assignments.iter().zip(targets.iter()) {
-                new_row.values[pos] = eval(expr, &effective, &env)?;
-            }
-            ov.modified
-                .entry(rid)
-                .and_modify(|ch| ch.new = Some(new_row.clone()))
-                .or_insert_with(|| RowChange {
-                    pre: heap_row,
-                    new: Some(new_row),
-                });
-            n += 1;
-        }
-        // Rows this transaction itself inserted (no record id yet, no
-        // engine key — they are invisible outside this session).
-        for i in 0..ov.inserted.len() {
-            let row = ov.inserted[i].clone();
-            let hit = match predicate {
-                Some(p) => eval_predicate(p, &row, &env)?,
-                None => true,
-            };
-            if !hit {
-                continue;
-            }
-            let mut new_row = row.clone();
-            for ((_, expr), &pos) in assignments.iter().zip(targets.iter()) {
-                new_row.values[pos] = eval(expr, &row, &env)?;
-            }
-            ov.inserted[i] = new_row;
-            n += 1;
-        }
-        Ok(n)
+        self.txn_write(at, table, Some(assignments), predicate)
     }
 
     /// `DELETE` inside an open transaction: like [`Database::txn_update`],
@@ -676,34 +674,66 @@ impl Database {
         table: &str,
         predicate: Option<&Expr>,
     ) -> CoreResult<usize> {
+        self.txn_write(at, table, None, predicate)
+    }
+
+    /// The body of in-transaction `UPDATE` (`assignments` given) and
+    /// `DELETE` (`None`). Candidates come from [`txn_candidates`] and are
+    /// collected before any change is buffered; the full predicate is
+    /// re-applied to each one's effective row.
+    fn txn_write(
+        &self,
+        at: &mut ActiveTxn,
+        table: &str,
+        assignments: Option<&[(String, Expr)]>,
+        predicate: Option<&Expr>,
+    ) -> CoreResult<usize> {
         let t = self.table(table)?;
         let names = t.schema.names();
         let env = Bindings::for_table(table, &names);
+        let targets: Vec<usize> = assignments
+            .unwrap_or_default()
+            .iter()
+            .map(|(c, _)| {
+                t.schema
+                    .column_index(c)
+                    .ok_or_else(|| CoreError::UnknownColumn(c.clone()))
+            })
+            .collect::<CoreResult<_>>()?;
+        let hit = |row: &Tuple| -> CoreResult<bool> {
+            match predicate {
+                Some(p) => Ok(eval_predicate(p, row, &env)?),
+                None => Ok(true),
+            }
+        };
+        // The after-image of `row`, or `None` for a delete.
+        let after = |row: &Tuple| -> CoreResult<Option<Tuple>> {
+            let Some(assignments) = assignments else {
+                return Ok(None);
+            };
+            let mut new_row = row.clone();
+            for ((_, expr), &pos) in assignments.iter().zip(targets.iter()) {
+                new_row.values[pos] = eval(expr, row, &env)?;
+            }
+            Ok(Some(new_row))
+        };
         let ek = epoch_key(table);
         self.cc.engine.ensure(ek);
         self.cc_read(&mut at.handle, ek)?;
-        let scan = t.scan()?;
-        let mut n = 0;
         let ov = at.overlays.entry(table.to_string()).or_default();
-        for (rid, heap_row) in scan {
+        let mut n = 0;
+        for (rid, heap_row) in txn_candidates(&t, &env, predicate, ov)? {
             let effective = match ov.modified.get(&rid) {
                 Some(RowChange { new: None, .. }) => continue,
                 Some(RowChange { new: Some(cur), .. }) => cur.clone(),
                 None => heap_row.clone(),
             };
-            let hit = match predicate {
-                Some(p) => eval_predicate(p, &effective, &env)?,
-                None => true,
-            };
-            if !hit {
+            if !hit(&effective)? {
                 continue;
             }
             let rk = row_key(table, rid);
             self.cc.engine.ensure(rk);
-            {
-                let m = self.store().metrics();
-                m.counter("cc.decisions").add(2);
-            }
+            self.cc.metrics.decisions.add(2);
             self.cc
                 .engine
                 .read(&mut at.handle, rk)
@@ -712,72 +742,55 @@ impl Database {
                 .engine
                 .write(&mut at.handle, rk, 0)
                 .map_err(conflict_err)?;
-            ov.modified
-                .entry(rid)
-                .and_modify(|ch| ch.new = None)
-                .or_insert_with(|| RowChange {
-                    pre: heap_row,
-                    new: None,
-                });
+            let new = after(&effective)?;
+            match ov.modified.entry(rid) {
+                btree_map::Entry::Occupied(mut e) => e.get_mut().new = new,
+                btree_map::Entry::Vacant(e) => {
+                    e.insert(RowChange { pre: heap_row, new });
+                }
+            }
             n += 1;
         }
-        let mut i = 0;
-        while i < ov.inserted.len() {
-            let hit = match predicate {
-                Some(p) => eval_predicate(p, &ov.inserted[i], &env)?,
-                None => true,
-            };
-            if hit {
-                ov.inserted.remove(i);
-                n += 1;
-            } else {
-                i += 1;
+        // Rows this transaction itself inserted (no record id yet, no
+        // engine key — they are invisible outside this session). An
+        // error aborts the transaction, so a half-rebuilt list is never
+        // observed.
+        let mut kept = Vec::with_capacity(ov.inserted.len());
+        for row in std::mem::take(&mut ov.inserted) {
+            if !hit(&row)? {
+                kept.push(row);
+                continue;
             }
+            n += 1;
+            kept.extend(after(&row)?);
         }
+        ov.inserted = kept;
         Ok(n)
     }
 
     // ------------------- overlay-aware table reads --------------------
 
-    /// Resolve `name` as this session sees it: the shared table, unless
-    /// the session's open transaction has buffered changes to it — then
-    /// an ephemeral shadow table merging heap + overlay (read-your-own-
-    /// writes for in-transaction `SELECT`s). Other sessions always get
-    /// the shared table: uncommitted rows are never visible to them.
+    /// Resolve `name` as this session sees it: the shared table, plus —
+    /// when the session's open transaction has buffered changes to it —
+    /// a snapshot of those changes for the scans to merge in
+    /// (read-your-own-writes for in-transaction `SELECT`s). Other
+    /// sessions never get an overlay: uncommitted rows are never visible
+    /// to them.
     pub(crate) fn effective_table(
         &self,
         session: &SessionContext,
         name: &str,
-    ) -> CoreResult<Arc<Table>> {
+    ) -> CoreResult<(Arc<Table>, Option<Arc<ScanOverlay>>)> {
         let base = self.table(name)?;
-        let Some(SessionTxn::Active(at)) = &session.txn else {
-            return Ok(base);
+        let overlay = match &session.txn {
+            Some(SessionTxn::Active(at)) => at
+                .overlays
+                .get(name)
+                .filter(|ov| !ov.is_empty())
+                .map(|ov| Arc::new(ov.scan_snapshot())),
+            _ => None,
         };
-        let Some(ov) = at.overlays.get(name) else {
-            return Ok(base);
-        };
-        if ov.is_empty() {
-            return Ok(base);
-        }
-        let pool = Arc::new(BufferPool::new(
-            Arc::new(DiskManager::new()),
-            SHADOW_POOL_FRAMES,
-        ));
-        let shadow = Table::new(base.name.clone(), base.schema.clone(), pool);
-        for col in base.indexed_columns() {
-            shadow.create_index(col)?;
-        }
-        for (rid, row) in base.scan()? {
-            match ov.modified.get(&rid) {
-                Some(RowChange { new: None, .. }) => continue,
-                Some(RowChange { new: Some(cur), .. }) => shadow.insert(cur.clone())?,
-                None => shadow.insert(row)?,
-            };
-        }
-        for t in &ov.inserted {
-            shadow.insert(t.clone())?;
-        }
-        Ok(Arc::new(shadow))
+        Ok((base, overlay))
     }
 
     /// `SHOW cc`: the live concurrency-control state as
@@ -838,7 +851,7 @@ mod tests {
 
     #[test]
     fn session_txn_reports_state() {
-        let cc = CcState::new();
+        let cc = CcState::new(&MetricsRegistry::new());
         let handle = cc.engine.begin_with_hint(2);
         let id = handle.id;
         let t = SessionTxn::Active(Box::new(ActiveTxn {
@@ -864,5 +877,30 @@ mod tests {
         assert!(ov.is_empty());
         ov.inserted.push(Tuple::new(vec![Value::Int(1)]));
         assert!(!ov.is_empty());
+    }
+
+    #[test]
+    fn scan_snapshot_hides_changed_rids_and_carries_live_rows() {
+        let row = |v| Tuple::new(vec![Value::Int(v)]);
+        let mut ov = TableOverlay::default();
+        let (upd, del) = (RecordId::new(0, 1), RecordId::new(0, 2));
+        ov.modified.insert(
+            upd,
+            RowChange {
+                pre: row(1),
+                new: Some(row(10)),
+            },
+        );
+        ov.modified.insert(
+            del,
+            RowChange {
+                pre: row(2),
+                new: None,
+            },
+        );
+        ov.inserted.push(row(3));
+        let snap = ov.scan_snapshot();
+        assert_eq!(snap.hidden, HashSet::from([upd, del]));
+        assert_eq!(snap.rows, vec![row(10), row(3)]);
     }
 }

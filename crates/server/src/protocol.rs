@@ -255,8 +255,13 @@ fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
             ),
         ));
     }
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(payload)?;
+    // One write per frame: with Nagle off, a separate length prefix goes
+    // out as its own segment, and a peer that reads it before the body
+    // arrives blocks and wakes a second time.
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 

@@ -35,7 +35,7 @@ use crate::page::{Page, PageId, PAGE_SIZE};
 use neurdb_obs::trace;
 use neurdb_obs::Histogram;
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -598,6 +598,10 @@ struct Frame {
     /// clearing the dirty bit, so a write that lands while the flusher
     /// is off the latch is never lost.
     version: u64,
+    /// Set while `flush_all` holds a copy of this frame it may not have
+    /// written yet; evicting the frame then orders its write-back after
+    /// that copy (see [`ShardInner::superseded`]).
+    flushing: bool,
     pin_count: u32,
 }
 
@@ -608,6 +612,11 @@ struct ShardInner {
     /// Hit/miss/eviction counters, split by the policy that was active
     /// when they accrued (indexed by [`PolicyKind::index`]).
     counters: [ShardCounters; 3],
+    /// Pages evicted while `flush_all` held an older copy of them: the
+    /// eviction wrote newer bytes, so the flusher skips its copy. The
+    /// flusher reads this off the latch; its lock is held across each
+    /// write of such a page, so the two writes cannot reorder.
+    superseded: Arc<Mutex<HashSet<PageId>>>,
 }
 
 impl ShardInner {
@@ -639,6 +648,9 @@ pub struct BufferPool {
     scan_resistant: bool,
     policy: RwLock<PolicyKind>,
     metrics: RwLock<Option<PoolMetrics>>,
+    /// Serializes `flush_all` calls, so each frame's `flushing` mark has
+    /// one owner.
+    flush_lock: Mutex<()>,
 }
 
 impl BufferPool {
@@ -667,6 +679,7 @@ impl BufferPool {
                     map: HashMap::with_capacity(slots),
                     policy: new_policy(config.policy, slots),
                     counters: [ShardCounters::default(); 3],
+                    superseded: Arc::default(),
                 })
             })
             .collect();
@@ -677,6 +690,7 @@ impl BufferPool {
             scan_resistant: config.scan_resistant,
             policy: RwLock::new(config.policy),
             metrics: RwLock::new(None),
+            flush_lock: Mutex::new(()),
         }
     }
 
@@ -775,6 +789,7 @@ impl BufferPool {
             page: Page::new(),
             dirty: true,
             version: 1,
+            flushing: false,
             pin_count: 0,
         });
         inner.policy.admit(idx, true);
@@ -831,40 +846,60 @@ impl BufferPool {
     /// dirty bits cleared only after re-verifying (by frame version) that
     /// no concurrent mutation landed in between — so a checkpoint never
     /// stalls readers for the duration of its I/O, and never loses a
-    /// racing write.
+    /// racing write. A copied page that is evicted before its copy is
+    /// written has newer bytes on disk already; its copy is dropped.
     pub fn flush_all(&self) -> StorageResult<()> {
+        let _one_flusher = self.flush_lock.lock();
         for shard in &self.shards {
-            // Phase 1: snapshot dirty frames under the latch.
-            let dirty: Vec<(usize, PageId, u64, Vec<u8>)> = {
-                let inner = shard.lock();
-                inner
+            // Phase 1: snapshot dirty frames under the latch, marking
+            // each as in flight.
+            let (dirty, superseded) = {
+                let mut inner = shard.lock();
+                let dirty: Vec<(usize, PageId, u64, Vec<u8>)> = inner
                     .frames
-                    .iter()
+                    .iter_mut()
                     .enumerate()
                     .filter_map(|(slot, f)| {
-                        f.as_ref()
-                            .filter(|f| f.dirty)
-                            .map(|f| (slot, f.page_id, f.version, f.page.as_bytes().to_vec()))
+                        let f = f.as_mut().filter(|f| f.dirty)?;
+                        f.flushing = true;
+                        Some((slot, f.page_id, f.version, f.page.as_bytes().to_vec()))
                     })
-                    .collect()
+                    .collect();
+                (dirty, inner.superseded.clone())
             };
             if dirty.is_empty() {
                 continue;
             }
-            // Phase 2: write outside the latch.
+            // Phase 2: write outside the latch, skipping copies an
+            // eviction has superseded.
+            let mut written = 0;
+            let mut result = Ok(());
             for (_, id, _, bytes) in &dirty {
-                self.timed_write(*id, bytes)?;
+                let superseded = superseded.lock();
+                if !superseded.contains(id) {
+                    result = self.timed_write(*id, bytes);
+                    if result.is_err() {
+                        break;
+                    }
+                }
+                written += 1;
             }
-            // Phase 3: clear dirty bits only where the snapshot is still
-            // current (same page in the slot, no mutation since).
+            // Phase 3: unmark, and clear dirty bits only where the
+            // snapshot was written and is still current (same frame —
+            // not a reload of the page — and no mutation since).
             let mut inner = shard.lock();
-            for (slot, id, version, _) in dirty {
+            for (i, (slot, id, version, _)) in dirty.into_iter().enumerate() {
                 if let Some(frame) = inner.frames[slot].as_mut() {
-                    if frame.page_id == id && frame.version == version {
-                        frame.dirty = false;
+                    if frame.page_id == id && frame.flushing {
+                        frame.flushing = false;
+                        if i < written && frame.version == version {
+                            frame.dirty = false;
+                        }
                     }
                 }
             }
+            superseded.lock().clear();
+            result?;
         }
         Ok(())
     }
@@ -980,6 +1015,7 @@ impl BufferPool {
             page: Page::from_bytes(&bytes)?,
             dirty: false,
             version: 0,
+            flushing: false,
             pin_count: 0,
         });
         inner.policy.admit(idx, warm);
@@ -998,9 +1034,15 @@ impl BufferPool {
             return Err(StorageError::BufferPoolFull);
         };
         let frame = inner.frames[idx].as_ref().expect("victim frame occupied");
-        let (id, dirty, bytes) = (frame.page_id, frame.dirty, frame.page.as_bytes().to_vec());
-        if dirty {
-            self.timed_write(id, &bytes)?;
+        let id = frame.page_id;
+        if frame.flushing {
+            // A flush holds an older copy of this page: write under the
+            // lock it checks, and mark its copy stale.
+            let mut superseded = inner.superseded.lock();
+            self.timed_write(id, frame.page.as_bytes())?;
+            superseded.insert(id);
+        } else if frame.dirty {
+            self.timed_write(id, frame.page.as_bytes())?;
         }
         inner.map.remove(&id);
         inner.frames[idx] = None;

@@ -219,7 +219,9 @@ impl Table {
     }
 
     /// The next batch of `(rid, tuple)` pairs of an index scan, in key
-    /// order, or `None` once exhausted (or if the index was dropped).
+    /// order, or `None` once exhausted (or if the index was dropped). A
+    /// row deleted after its index entry was read is skipped: it is no
+    /// longer live.
     pub fn index_scan_next(
         &self,
         scan: &mut TableIndexScan,
@@ -240,7 +242,11 @@ impl Table {
             // Heap fetches on behalf of an index descent pin warm: an
             // index scan's targets are part of the working set, not a
             // sweep the pool should recycle.
-            out.push((rid, self.heap.get_with_hint(rid, AccessHint::Index)?));
+            match self.heap.get_with_hint(rid, AccessHint::Index) {
+                Ok(tuple) => out.push((rid, tuple)),
+                Err(StorageError::SlotNotFound { .. }) => {}
+                Err(e) => return Err(e),
+            }
         }
         Ok(Some(out))
     }

@@ -10,6 +10,7 @@ use neurdb_storage::{
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::thread;
+use std::time::Duration;
 
 fn pool_with(capacity: usize, shards: usize, policy: PolicyKind) -> BufferPool {
     BufferPool::with_config(
@@ -119,75 +120,114 @@ fn concurrent_mixed_ops_lose_no_writes() {
     }
 }
 
+/// A file disk whose writes from the thread named `flusher` start late:
+/// it widens the window between `flush_all` copying a dirty page and
+/// writing that copy, where an eviction can write newer bytes first.
+struct SlowFlushDisk(neurdb_wal::FileDisk);
+
+impl DiskBackend for SlowFlushDisk {
+    fn allocate(&self) -> neurdb_storage::StorageResult<u64> {
+        self.0.allocate()
+    }
+    fn read(&self, id: u64) -> neurdb_storage::StorageResult<Box<[u8]>> {
+        self.0.read(id)
+    }
+    fn write(&self, id: u64, data: &[u8]) -> neurdb_storage::StorageResult<()> {
+        if thread::current().name() == Some("flusher") {
+            thread::sleep(Duration::from_micros(200));
+        }
+        self.0.write(id, data)
+    }
+    fn sync(&self) -> neurdb_storage::StorageResult<()> {
+        self.0.sync()
+    }
+    fn num_pages(&self) -> usize {
+        self.0.num_pages()
+    }
+    fn read_count(&self) -> u64 {
+        self.0.read_count()
+    }
+    fn write_count(&self) -> u64 {
+        self.0.write_count()
+    }
+}
+
 /// Concurrent writers racing a concurrent flusher, then a reopen over the
 /// same file disk: every committed increment must be on disk once the
-/// last flush completes (the copy-out/re-verify flush cannot lose a write
-/// that lands while it is off the latch).
+/// last flush completes. Neither the flusher's off-latch writes nor an
+/// eviction that writes a page back while the flusher still holds an
+/// older copy of it may lose a write. The flusher's writes are slowed
+/// and the scenario repeats, so the eviction race is hit every run.
 #[test]
 fn flush_race_then_reopen_over_file_disk() {
-    let dir = std::env::temp_dir().join(format!("neurdb-bufstress-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("data.ndb");
-
+    const ROUNDS: usize = 5;
     const PAGES: usize = 24;
     const THREADS: usize = 4;
     const INCREMENTS: usize = 396; // divisible by PAGES / THREADS = 6 pages each
-    {
-        let disk = Arc::new(neurdb_wal::FileDisk::open(&path).unwrap());
-        let pool = Arc::new(BufferPool::with_config(
-            disk,
-            BufferConfig {
-                shards: 4,
-                capacity: 6,
-                policy: PolicyKind::Sieve,
-                scan_resistant: true,
-            },
-        ));
-        let pages = init_counter_pages(&pool, PAGES);
-        let writers: Vec<_> = (0..THREADS)
-            .map(|t| {
-                let pool = pool.clone();
-                let mine: Vec<u64> = pages.iter().copied().skip(t).step_by(THREADS).collect();
-                thread::spawn(move || {
-                    for i in 0..INCREMENTS {
-                        let target = mine[i % mine.len()];
-                        pool.with_page_mut(target, |p| {
-                            let v = u64::from_le_bytes(p.get(0).unwrap().try_into().unwrap());
-                            p.update(0, &(v + 1).to_le_bytes()).unwrap();
-                        })
-                        .unwrap();
-                    }
+    let dir = std::env::temp_dir().join(format!("neurdb-bufstress-{}", std::process::id()));
+    for round in 0..ROUNDS {
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("data.ndb");
+        {
+            let disk = Arc::new(SlowFlushDisk(neurdb_wal::FileDisk::open(&path).unwrap()));
+            let pool = Arc::new(BufferPool::with_config(
+                disk,
+                BufferConfig {
+                    shards: 4,
+                    capacity: 6,
+                    policy: PolicyKind::Sieve,
+                    scan_resistant: true,
+                },
+            ));
+            let pages = init_counter_pages(&pool, PAGES);
+            let writers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let pool = pool.clone();
+                    let mine: Vec<u64> = pages.iter().copied().skip(t).step_by(THREADS).collect();
+                    thread::spawn(move || {
+                        for i in 0..INCREMENTS {
+                            let target = mine[i % mine.len()];
+                            pool.with_page_mut(target, |p| {
+                                let v = u64::from_le_bytes(p.get(0).unwrap().try_into().unwrap());
+                                p.update(0, &(v + 1).to_le_bytes()).unwrap();
+                            })
+                            .unwrap();
+                        }
+                    })
                 })
-            })
-            .collect();
-        // Flush concurrently with the writers, repeatedly.
-        let flusher = {
-            let pool = pool.clone();
-            thread::spawn(move || {
-                for _ in 0..20 {
-                    pool.flush_all().unwrap();
-                }
-            })
-        };
-        for w in writers {
-            w.join().unwrap();
+                .collect();
+            // Flush concurrently with the writers, repeatedly.
+            let flusher = {
+                let pool = pool.clone();
+                thread::Builder::new()
+                    .name("flusher".into())
+                    .spawn(move || {
+                        for _ in 0..20 {
+                            pool.flush_all().unwrap();
+                        }
+                    })
+                    .unwrap()
+            };
+            for w in writers {
+                w.join().unwrap();
+            }
+            flusher.join().unwrap();
+            // Quiesced final flush: everything must reach the file.
+            pool.flush_all_and_sync().unwrap();
+            assert_eq!(pool.dirty_count(), 0);
         }
-        flusher.join().unwrap();
-        // Quiesced final flush: everything must reach the file.
-        pool.flush_all_and_sync().unwrap();
-        assert_eq!(pool.dirty_count(), 0);
-    }
-    // Reopen the file with a fresh pool: no lost writes.
-    let disk = Arc::new(neurdb_wal::FileDisk::open(&path).unwrap());
-    let pool = BufferPool::new(disk, 16);
-    let expected = (THREADS * INCREMENTS / PAGES) as u64;
-    for id in 0..PAGES as u64 {
-        assert_eq!(
-            read_counter(&pool, id),
-            expected,
-            "page {id} lost writes across reopen"
-        );
+        // Reopen the file with a fresh pool: no lost writes.
+        let disk = Arc::new(neurdb_wal::FileDisk::open(&path).unwrap());
+        let pool = BufferPool::new(disk, 16);
+        let expected = (THREADS * INCREMENTS / PAGES) as u64;
+        for id in 0..PAGES as u64 {
+            assert_eq!(
+                read_counter(&pool, id),
+                expected,
+                "round {round}: page {id} lost writes across reopen"
+            );
+        }
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

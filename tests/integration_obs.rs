@@ -562,6 +562,45 @@ fn show_traces_and_show_trace_render_the_ring() {
     );
 }
 
+/// Embedded statements run on snapshots of the default session, yet each
+/// gets its own trace id: five traced SELECTs through `Database::execute`
+/// leave five distinct ids, and `SHOW TRACE <id>` resolves each to its
+/// own statement.
+#[test]
+fn embedded_statements_get_distinct_trace_ids() {
+    let db = seeded_db();
+    db.execute("SET trace = on").unwrap();
+    let sqls: Vec<String> = (0..5)
+        .map(|i| format!("SELECT * FROM a WHERE y = {i}"))
+        .collect();
+    for sql in &sqls {
+        db.execute(sql).unwrap();
+    }
+    let ids: Vec<(String, String)> = db
+        .tracer()
+        .recent()
+        .into_iter()
+        .filter(|t| t.sql.starts_with("SELECT"))
+        .map(|t| (t.id.clone(), t.sql.clone()))
+        .collect();
+    assert_eq!(ids.len(), 5, "{ids:?}");
+    let distinct: std::collections::HashSet<&String> = ids.iter().map(|(id, _)| id).collect();
+    assert_eq!(distinct.len(), 5, "trace ids repeat: {ids:?}");
+    for (id, sql) in &ids {
+        let out = db.execute(&format!("SHOW TRACE '{id}'")).unwrap();
+        let lines: Vec<&str> = out
+            .rows()
+            .unwrap()
+            .rows
+            .iter()
+            .map(|r| r.get(0).as_str().unwrap())
+            .collect();
+        assert_eq!(lines[1], format!("sql: {sql}"), "trace {id}");
+    }
+    let traced: Vec<&String> = ids.iter().map(|(_, sql)| sql).collect();
+    assert_eq!(traced, sqls.iter().collect::<Vec<_>>());
+}
+
 /// Failed statements land in the slow-query log with their error text in
 /// place of a plan, and — when tracing is armed — still capture their
 /// trace, retrievable through `SHOW TRACE` even independent of the ring.

@@ -955,6 +955,7 @@ fn show_trace_round_trips_over_tcp_inside_open_txn() {
         stmt.push_str(&format!("({d}, {})", d % 11));
     }
     c.affected(&stmt).unwrap();
+    c.affected("CREATE TABLE audit (id INT)").unwrap();
 
     c.affected("SET parallelism = 4").unwrap();
     c.affected("SET trace = on").unwrap();
@@ -965,9 +966,12 @@ fn show_trace_round_trips_over_tcp_inside_open_txn() {
     assert!(plan.contains("partition-wise"), "{plan}");
 
     c.affected("BEGIN").unwrap();
-    // Joins nothing (no bf.k = 9000) — it exists to give COMMIT real
-    // write work so its trace shows the full validation/WAL pipeline.
-    c.affected("INSERT INTO bd VALUES (9000, 99)").unwrap();
+    // Gives COMMIT real write work so its trace shows the full
+    // validation/WAL pipeline. It writes a table outside the join: a
+    // scan of a table the open transaction wrote merges its overlay and
+    // runs serially, which would turn the partition-wise join into a
+    // parallel probe.
+    c.affected("INSERT INTO audit VALUES (9000)").unwrap();
     assert_eq!(c.query(join_sql).unwrap().rows.len(), 11);
 
     // Find the join statement's trace id from inside the transaction.

@@ -167,6 +167,22 @@ fn secondary_index_usable() {
     assert!(t.has_index(idx));
     let hits = t.lookup(idx, &Value::Int(25)).unwrap();
     assert_eq!(hits.len(), 2);
+    // UPDATE/DELETE take the index too, and a predicate naming an
+    // unknown column still fails although the index alone would match
+    // no row.
+    for sql in [
+        "UPDATE users SET age = 1 WHERE nope = 1 AND age = 99",
+        "DELETE FROM users WHERE nope = 1 AND age = 99",
+    ] {
+        assert!(db.execute(sql).is_err(), "{sql}");
+    }
+    assert_eq!(
+        db.execute("UPDATE users SET age = 26 WHERE age = 25")
+            .unwrap()
+            .affected(),
+        Some(2)
+    );
+    assert_eq!(t.lookup(idx, &Value::Int(26)).unwrap().len(), 2);
 }
 
 #[test]

@@ -347,3 +347,76 @@ fn explain_and_show_allowed_inside_txn() {
     assert_eq!(s.txn_state(), Some("active"));
     db.execute_in_session(&mut s, "ROLLBACK").unwrap();
 }
+
+/// Read-your-own-writes merges the transaction's overlay into the scans
+/// instead of copying the table: a scan with an overlay says so in
+/// EXPLAIN and stays serial even when the session forces parallelism,
+/// hidden rows stay hidden, and a moved key is found by its new value
+/// although the index still files the row under the old one.
+#[test]
+fn overlay_scans_stay_serial_and_merge_own_writes() {
+    let db = Database::new();
+    db.execute("CREATE TABLE t (id INT, val INT)").unwrap();
+    let rows: Vec<String> = (0..2000).map(|i| format!("({i}, {i})")).collect();
+    db.execute(&format!("INSERT INTO t VALUES {}", rows.join(", ")))
+        .unwrap();
+    db.execute("CREATE INDEX ON t (id)").unwrap();
+    let mut s = SessionContext::new();
+    for set in ["SET parallelism = 4", "SET parallel_min_rows = 0"] {
+        db.execute_in_session(&mut s, set).unwrap();
+    }
+    let explain = |s: &mut SessionContext, sql: &str| -> String {
+        let out = db.execute_in_session(s, &format!("EXPLAIN {sql}")).unwrap();
+        let lines: Vec<String> = out
+            .rows()
+            .unwrap()
+            .rows
+            .iter()
+            .map(|r| r.get(0).as_str().unwrap().to_string())
+            .collect();
+        lines.join("\n")
+    };
+    let count = |s: &mut SessionContext, sql: &str| -> usize {
+        let out = db.execute_in_session(s, sql).unwrap();
+        out.rows().unwrap().rows.len()
+    };
+    let scalar = |s: &mut SessionContext, sql: &str| -> Value {
+        let out = db.execute_in_session(s, sql).unwrap();
+        out.rows().unwrap().rows[0].get(0).clone()
+    };
+    assert!(explain(&mut s, "SELECT id FROM t").contains("Gather(dop=4)"));
+
+    db.execute_in_session(&mut s, "BEGIN").unwrap();
+    db.execute_in_session(&mut s, "UPDATE t SET id = id + 5000 WHERE id = 7")
+        .unwrap();
+    db.execute_in_session(&mut s, "INSERT INTO t VALUES (9999, 1)")
+        .unwrap();
+    let plan = explain(&mut s, "SELECT id FROM t");
+    assert!(!plan.contains("Gather"), "{plan}");
+    assert!(
+        plan.contains("overlay=[-1 +2]") && plan.contains("dop=1"),
+        "{plan}"
+    );
+    let plan = explain(&mut s, "SELECT id FROM t WHERE id = 5007");
+    assert!(
+        plan.contains("IndexScan(t id=5007)") && plan.contains("overlay"),
+        "{plan}"
+    );
+
+    assert_eq!(count(&mut s, "SELECT id FROM t WHERE id = 5007"), 1);
+    assert_eq!(count(&mut s, "SELECT id FROM t WHERE id = 7"), 0);
+    assert_eq!(scalar(&mut s, "SELECT COUNT(*) FROM t"), Value::Int(2001));
+    // A self-join reads the overlay through both scans, once each.
+    assert_eq!(
+        scalar(&mut s, "SELECT COUNT(*) FROM t a, t b WHERE a.id = b.id"),
+        Value::Int(2001)
+    );
+    // Other sessions still see the committed table only.
+    assert_eq!(
+        scalar(&mut SessionContext::new(), "SELECT COUNT(*) FROM t"),
+        Value::Int(2000)
+    );
+    db.execute_in_session(&mut s, "COMMIT").unwrap();
+    assert_eq!(count(&mut s, "SELECT id FROM t WHERE id = 5007"), 1);
+    assert_eq!(scalar(&mut s, "SELECT COUNT(*) FROM t"), Value::Int(2001));
+}
