@@ -18,7 +18,7 @@
 //! deliberately flat: `{"groups": {"<name>": {"median_ns": N, ...}}}`.
 
 use neurdb_core::{Database, SessionContext};
-use neurdb_storage::{AccessHint, BufferConfig, BufferPool, DiskManager, PolicyKind};
+use neurdb_storage::{AccessHint, BufferPool, DiskManager};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
@@ -209,14 +209,10 @@ fn bench_buffer_latch(name: &'static str, shards: usize, quick: bool) -> GroupRe
     const PAGES: usize = 256;
     const THREADS: usize = 4;
     let touches = if quick { 20_000 } else { 100_000 };
-    let pool = Arc::new(BufferPool::with_config(
+    let pool = Arc::new(BufferPool::with_shards(
         Arc::new(DiskManager::new()),
-        BufferConfig {
-            shards,
-            capacity: PAGES,
-            policy: PolicyKind::Clock,
-            scan_resistant: true,
-        },
+        PAGES,
+        shards,
     ));
     let ids: Vec<u64> = (0..PAGES).map(|_| pool.allocate_page().unwrap()).collect();
     for &id in &ids {
@@ -249,59 +245,51 @@ fn bench_buffer_latch(name: &'static str, shards: usize, quick: bool) -> GroupRe
 /// Hot-set size for the out-of-core workload.
 const OOC_HOT: usize = 24;
 
-fn ooc_pool(capacity: usize, scan_resistant: bool) -> Arc<BufferPool> {
-    Arc::new(BufferPool::with_config(
-        Arc::new(DiskManager::new()),
-        BufferConfig {
-            shards: 0,
-            capacity,
-            policy: PolicyKind::Clock,
-            scan_resistant,
-        },
-    ))
+/// A fresh pool of `capacity` frames over `table_pages` flushed pages.
+fn ooc_pool(capacity: usize, table_pages: usize) -> (Arc<BufferPool>, Vec<u64>) {
+    let pool = Arc::new(BufferPool::new(Arc::new(DiskManager::new()), capacity));
+    let ids: Vec<u64> = (0..table_pages)
+        .map(|_| pool.allocate_page().unwrap())
+        .collect();
+    pool.flush_all().unwrap();
+    (pool, ids)
 }
 
-/// Deterministic scan-vs-point interleave: four full sequential sweeps
-/// of the table, with two hot-set point lookups after every eight
-/// sequential touches (the access pattern a dop-4 scan racing a point
-/// client produces, minus the scheduler nondeterminism — so the hit
-/// ratio is reproducible on any machine and core count). Returns the
-/// point-class hit ratio over the trace.
-fn ooc_point_hit_ratio(pool: &BufferPool, ids: &[u64]) -> f64 {
+/// Deterministic scan-vs-point interleave: four full sweeps of the
+/// table with `sweep` as their hint, with two hot-set point lookups
+/// after every eight sweep touches (the access pattern a dop-4 scan
+/// racing a point client produces, minus the scheduler nondeterminism —
+/// so the hit ratio is reproducible on any machine and core count).
+/// Returns the hot lookups' hit ratio over the trace; a lookup hit when
+/// it left the pool's miss count unchanged.
+fn ooc_point_hit_ratio(pool: &BufferPool, ids: &[u64], sweep: AccessHint) -> f64 {
     for &id in &ids[..OOC_HOT] {
         pool.with_page(id, |_| ()).unwrap();
     }
-    let before = pool.stats();
-    let mut h = 0usize;
+    let (mut hits, mut total) = (0usize, 0usize);
     for _sweep in 0..4 {
         for chunk in ids.chunks(8) {
             for &id in chunk {
-                pool.with_page_hint(id, AccessHint::Sequential, |_| ())
-                    .unwrap();
+                pool.with_page_hint(id, sweep, |_| ()).unwrap();
             }
             for _ in 0..2 {
-                pool.with_page(ids[h % OOC_HOT], |p| p.live_count())
+                let misses = pool.stats().misses;
+                pool.with_page(ids[total % OOC_HOT], |p| p.live_count())
                     .unwrap();
-                h += 1;
+                hits += usize::from(pool.stats().misses == misses);
+                total += 1;
             }
         }
     }
-    let after = pool.stats();
-    let hits = (after.point_hits - before.point_hits) as f64;
-    let total = hits + (after.point_misses - before.point_misses) as f64;
-    if total == 0.0 {
-        1.0
-    } else {
-        hits / total
-    }
+    hits as f64 / total as f64
 }
 
 /// Out-of-core mixed workload at a given `capacity / table pages` ratio.
 /// The timed number is a dop-4 concurrent run (four sequential-sweep
-/// threads racing the point-lookup client) on the scan-resistant pool;
-/// the `point_hit_ratio` / `point_hit_ratio_unhinted` extras come from
-/// the deterministic interleave above on scan-resistant and
-/// scan-oblivious pools, exposing the hit-ratio gap the hints buy.
+/// threads racing the point-lookup client); the `point_hit_ratio` /
+/// `point_hit_ratio_unhinted` extras come from the deterministic
+/// interleave above with `Sequential`- and `Point`-hinted sweeps,
+/// exposing the hit-ratio gap the hints buy.
 fn bench_buffer_out_of_core(name: &'static str, ratio: f64, quick: bool) -> GroupResult {
     const THREADS: usize = 4;
     let table_pages = if quick { 256 } else { 1024 };
@@ -309,21 +297,12 @@ fn bench_buffer_out_of_core(name: &'static str, ratio: f64, quick: bool) -> Grou
     let capacity = ((table_pages as f64 * ratio) as usize).max(OOC_HOT + 8);
 
     // Hit-ratio facts, deterministic.
-    let hinted_pool = ooc_pool(capacity, true);
-    let ids: Vec<u64> = (0..table_pages)
-        .map(|_| hinted_pool.allocate_page().unwrap())
-        .collect();
-    hinted_pool.flush_all().unwrap();
-    let hinted_ratio = ooc_point_hit_ratio(&hinted_pool, &ids);
-    let unhinted_pool = ooc_pool(capacity, false);
-    let unhinted_ids: Vec<u64> = (0..table_pages)
-        .map(|_| unhinted_pool.allocate_page().unwrap())
-        .collect();
-    unhinted_pool.flush_all().unwrap();
-    let unhinted_ratio = ooc_point_hit_ratio(&unhinted_pool, &unhinted_ids);
+    let (pool, ids) = ooc_pool(capacity, table_pages);
+    let hinted_ratio = ooc_point_hit_ratio(&pool, &ids, AccessHint::Sequential);
+    let (unhinted_pool, unhinted_ids) = ooc_pool(capacity, table_pages);
+    let unhinted_ratio = ooc_point_hit_ratio(&unhinted_pool, &unhinted_ids, AccessHint::Point);
 
     // Timed concurrent run on the hinted pool.
-    let pool = hinted_pool;
     let iters = if quick { 5 } else { 15 };
     let mut result = measure(name, 1, iters, |_| {
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));

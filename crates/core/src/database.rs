@@ -38,9 +38,7 @@ use neurdb_qo::SystemConditions;
 use neurdb_sql::{
     parse, parse_script, ColumnSpec, Expr, PredictStmt, PredictTask, Statement, TrainOn, TypeName,
 };
-use neurdb_storage::{
-    BufferConfig, ColumnDef, DataType, PolicyKind, RecordId, Schema, Table, Tuple, Value,
-};
+use neurdb_storage::{ColumnDef, DataType, RecordId, Schema, Table, Tuple, Value};
 use neurdb_wal::{DurableStore, DurableStoreOptions, Lsn, WalRecord, SYSTEM_TXN};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
@@ -269,13 +267,6 @@ impl Database {
 
     pub fn with_buffer_capacity(frames: usize) -> Self {
         Self::from_store(DurableStore::volatile(frames))
-    }
-
-    /// A volatile database with full buffer-pool geometry control:
-    /// shard count, frame capacity, replacement policy, and
-    /// scan-resistant admission.
-    pub fn with_buffer_config(buffer: BufferConfig) -> Self {
-        Self::from_store(DurableStore::volatile_config(buffer))
     }
 
     /// Open (or create) a durable database in `dir` with default
@@ -853,7 +844,7 @@ impl Database {
     }
 
     /// Apply a `SET name = value` statement to `session` (or, for
-    /// database-scoped knobs like `buffer_policy`, to the store).
+    /// database-scoped knobs like `cc_policy`, to the shared engine).
     fn set_session(
         &self,
         session: &mut SessionContext,
@@ -933,25 +924,6 @@ impl Database {
                     }
                 };
                 self.tracer.set_sample_every(n);
-                Ok(())
-            }
-            "buffer_policy" => {
-                // Database-scoped (the pool is shared): switches the
-                // replacement policy live, re-admitting resident pages.
-                let kind = match literal_value(value) {
-                    Value::Text(s) => PolicyKind::parse(&s).ok_or_else(|| {
-                        CoreError::Unsupported(format!(
-                            "SET buffer_policy expects 'clock', 'sieve', or 'lru', got '{s}'"
-                        ))
-                    })?,
-                    other => {
-                        return Err(CoreError::Unsupported(format!(
-                            "SET buffer_policy expects a string \
-                             ('clock', 'sieve', or 'lru'), got {other}"
-                        )))
-                    }
-                };
-                self.store.pool().set_policy(kind);
                 Ok(())
             }
             "cc_policy" => {
@@ -1086,14 +1058,13 @@ impl Database {
                 Value::Int(self.tracer.sample_every() as i64),
             )),
             // Buffer-pool state as `(property, value)` rows: geometry
-            // (policy, shards, capacity, resident), the aggregate and
+            // (shards, capacity, resident), the aggregate and
             // point-lookup-class hit ratios, and per-shard hit ratios so
             // skew across the latch shards is visible.
             "buffer" => {
                 let pool = self.store.pool();
                 let stats = pool.stats();
                 let mut rows: Vec<(String, Value)> = vec![
-                    ("policy".into(), Value::Text(pool.policy().name().into())),
                     ("shards".into(), Value::Int(pool.shard_count() as i64)),
                     ("capacity".into(), Value::Int(stats.capacity as i64)),
                     ("resident".into(), Value::Int(stats.resident as i64)),
@@ -1104,10 +1075,6 @@ impl Database {
                     (
                         "point_hit_ratio".into(),
                         Value::Float(stats.point_hit_ratio()),
-                    ),
-                    (
-                        "scan_resistant".into(),
-                        Value::Text(pool.scan_resistant().to_string()),
                     ),
                 ];
                 for (i, s) in pool.shard_stats().iter().enumerate() {

@@ -53,7 +53,7 @@ use crate::vector::{PredicateSet, ProjectionSet};
 use crossbeam::channel;
 use neurdb_obs::trace;
 use neurdb_sql::{AggFunc, Expr, SelectItem, SelectStmt, SortOrder};
-use neurdb_storage::{AccessHint, HeapBatchScan, RecordId, Table, Tuple, Value};
+use neurdb_storage::{HeapBatchScan, RecordId, Table, Tuple, Value};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -254,7 +254,7 @@ fn build_operator(
         } => {
             let cursor = match partition.take() {
                 Some(part) => part,
-                None => table.scan_batches_hinted(BATCH_ROWS, AccessHint::Sequential),
+                None => table.scan_batches(BATCH_ROWS),
             };
             Box::new(SeqScanOp {
                 cursor,
@@ -284,7 +284,7 @@ fn build_operator(
                 // sequential sweep with the same residual predicates is
                 // exactly equivalent.
                 None => Box::new(SeqScanOp {
-                    cursor: table.scan_batches_hinted(BATCH_ROWS, AccessHint::Sequential),
+                    cursor: table.scan_batches(BATCH_ROWS),
                     predicates: compiled,
                     overlay: overlay.clone(),
                 }),
@@ -709,7 +709,7 @@ impl WorkerPool {
         let table = fragment_scan_table(fragment).ok_or_else(|| {
             CoreError::Unsupported("parallel fragment without a scan leaf".to_string())
         })?;
-        let partitions = table.scan_partitions_hinted(dop, BATCH_ROWS, AccessHint::Sequential);
+        let partitions = table.scan_partitions(dop, BATCH_ROWS);
         let (tx, rx) = channel::bounded(dop * EXCHANGE_QUEUE_PER_WORKER);
         let (report_tx, reports) = channel::unbounded();
         let trace_handle = trace::current_handle();

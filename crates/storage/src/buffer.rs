@@ -1,4 +1,4 @@
-//! Sharded buffer pool with pluggable replacement over a pluggable disk.
+//! Sharded, scan-resistant clock buffer pool over a pluggable disk.
 //!
 //! [`DiskBackend`] is the trait surface page storage hides behind: the
 //! in-memory [`DiskManager`] (the seed's simulated disk, still the default
@@ -19,16 +19,14 @@
 //!
 //! # Replacement and scan resistance
 //!
-//! Replacement is pluggable behind [`ReplacementPolicy`]: clock
-//! (second-chance, the default), SIEVE, and strict LRU, selected by
-//! [`BufferConfig::policy`] or switched at runtime with
-//! [`BufferPool::set_policy`] (surfaced as `SET buffer_policy` /
-//! `SHOW buffer` in SQL). Callers pass an [`AccessHint`] describing how
-//! they will use the page: `Sequential` admissions enter *cold* (at the
-//! eviction-preferred position, and further sequential touches never
-//! promote them — a single-reference cap), so a large scan recycles its
-//! own frames instead of flushing the hot pages point lookups and index
-//! probes depend on. `Point` and `Index` accesses admit and promote warm.
+//! Every shard runs one second-chance clock. Callers pass an
+//! [`AccessHint`] describing how they will use the page: `Sequential`
+//! admissions enter *cold* — the victim search drains cold frames before
+//! the clock hand considers any warm resident, and further sequential
+//! touches never promote them (a single-reference cap) — so a large scan
+//! recycles its own frames instead of flushing the hot pages point
+//! lookups and index probes depend on. `Point` and `Index` accesses admit
+//! and promote warm.
 
 use crate::error::{StorageError, StorageResult};
 use crate::page::{Page, PageId, PAGE_SIZE};
@@ -171,360 +169,11 @@ impl AccessHint {
     }
 }
 
-// --------------------------- replacement policy --------------------------
-
-/// Replacement policy selector (see [`ReplacementPolicy`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PolicyKind {
-    /// Second-chance clock (the default).
-    #[default]
-    Clock,
-    /// SIEVE: FIFO queue with a lazily-moving visited hand.
-    Sieve,
-    /// Strict least-recently-used.
-    Lru,
-}
-
-impl PolicyKind {
-    pub const ALL: [PolicyKind; 3] = [PolicyKind::Clock, PolicyKind::Sieve, PolicyKind::Lru];
-
-    pub fn name(self) -> &'static str {
-        match self {
-            PolicyKind::Clock => "clock",
-            PolicyKind::Sieve => "sieve",
-            PolicyKind::Lru => "lru",
-        }
-    }
-
-    /// Parse a policy name (case-insensitive), as accepted by
-    /// `SET buffer_policy`.
-    pub fn parse(s: &str) -> Option<PolicyKind> {
-        match s.to_ascii_lowercase().as_str() {
-            "clock" => Some(PolicyKind::Clock),
-            "sieve" => Some(PolicyKind::Sieve),
-            "lru" => Some(PolicyKind::Lru),
-            _ => None,
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            PolicyKind::Clock => 0,
-            PolicyKind::Sieve => 1,
-            PolicyKind::Lru => 2,
-        }
-    }
-}
-
-impl std::str::FromStr for PolicyKind {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        PolicyKind::parse(s).ok_or_else(|| format!("unknown buffer policy '{s}'"))
-    }
-}
-
-/// Buffer-pool geometry and replacement configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct BufferConfig {
-    /// Shard count; `0` picks `min(8, capacity)`.
-    pub shards: usize,
-    /// Total frames across all shards.
-    pub capacity: usize,
-    /// Replacement policy every shard starts with.
-    pub policy: PolicyKind,
-    /// When `false`, `Sequential` hints are treated as `Point` (scan
-    /// resistance off — the unhinted baseline benchmarks compare against).
-    pub scan_resistant: bool,
-}
-
-impl Default for BufferConfig {
-    fn default() -> Self {
-        BufferConfig {
-            shards: 0,
-            capacity: 4096,
-            policy: PolicyKind::Clock,
-            scan_resistant: true,
-        }
-    }
-}
-
-impl BufferConfig {
-    pub fn with_capacity(capacity: usize) -> BufferConfig {
-        BufferConfig {
-            capacity,
-            ..BufferConfig::default()
-        }
-    }
-}
-
-/// Per-shard replacement state. One instance per shard, always called
-/// under that shard's latch; `slot` indexes the shard's frame table.
-///
-/// The pool keeps the frame table and the page map; the policy only
-/// orders occupied slots for eviction. Admissions and touches carry the
-/// `warm` bit derived from the caller's [`AccessHint`]: cold admissions
-/// go to the eviction-preferred position and cold touches never promote.
-trait ReplacementPolicy: Send {
-    fn kind(&self) -> PolicyKind;
-
-    /// A page was installed into `slot`.
-    fn admit(&mut self, slot: usize, warm: bool);
-
-    /// The resident page in `slot` was accessed again.
-    fn touch(&mut self, slot: usize, warm: bool);
-
-    /// Choose the next victim among occupied slots, skipping any for
-    /// which `pinned` returns true. `None` when nothing is evictable.
-    fn victim(&mut self, pinned: &dyn Fn(usize) -> bool) -> Option<usize>;
-
-    /// `slot` was evicted (or the shard is being rebuilt).
-    fn remove(&mut self, slot: usize);
-}
-
-fn new_policy(kind: PolicyKind, slots: usize) -> Box<dyn ReplacementPolicy> {
-    match kind {
-        PolicyKind::Clock => Box::new(ClockPolicy::new(slots)),
-        PolicyKind::Sieve => Box::new(SievePolicy::new(slots)),
-        PolicyKind::Lru => Box::new(LruPolicy::new(slots)),
-    }
-}
-
-/// Second-chance clock. Warm accesses set the reference bit; cold
-/// admissions start unreferenced *and flagged cold*: the victim search
-/// drains cold frames (a scan's own recent pages) before the clock hand
-/// ever considers warm residents, so one sequential sweep recycles its
-/// own frames instead of the working set. A warm touch un-colds a frame.
-struct ClockPolicy {
-    occupied: Vec<bool>,
-    referenced: Vec<bool>,
-    cold: Vec<bool>,
-    hand: usize,
-}
-
-impl ClockPolicy {
-    fn new(slots: usize) -> ClockPolicy {
-        ClockPolicy {
-            occupied: vec![false; slots],
-            referenced: vec![false; slots],
-            cold: vec![false; slots],
-            hand: 0,
-        }
-    }
-}
-
-impl ReplacementPolicy for ClockPolicy {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Clock
-    }
-
-    fn admit(&mut self, slot: usize, warm: bool) {
-        self.occupied[slot] = true;
-        self.referenced[slot] = warm;
-        self.cold[slot] = !warm;
-    }
-
-    fn touch(&mut self, slot: usize, warm: bool) {
-        if warm {
-            self.referenced[slot] = true;
-            self.cold[slot] = false;
-        }
-    }
-
-    fn victim(&mut self, pinned: &dyn Fn(usize) -> bool) -> Option<usize> {
-        let n = self.occupied.len();
-        // Pass A: any cold frame goes first (hand-relative for fairness).
-        for i in 0..n {
-            let slot = (self.hand + i) % n;
-            if self.occupied[slot] && self.cold[slot] && !pinned(slot) {
-                return Some(slot);
-            }
-        }
-        // Pass B: standard second-chance sweep over the warm residents.
-        for _ in 0..2 * n {
-            let slot = self.hand;
-            self.hand = (self.hand + 1) % n;
-            if !self.occupied[slot] || pinned(slot) {
-                continue;
-            }
-            if self.referenced[slot] {
-                self.referenced[slot] = false;
-                continue;
-            }
-            return Some(slot);
-        }
-        None
-    }
-
-    fn remove(&mut self, slot: usize) {
-        self.occupied[slot] = false;
-        self.referenced[slot] = false;
-        self.cold[slot] = false;
-    }
-}
-
-/// SIEVE (Zhang et al., NSDI'24): a FIFO order with a hand that sweeps
-/// from old to new clearing visited bits; unvisited pages are evicted
-/// where the hand stands, and — unlike clock — survivors are never moved.
-/// Warm admissions enter at the queue head (newest); cold admissions are
-/// inserted *at the hand*, i.e. first in line for eviction.
-struct SievePolicy {
-    /// Occupied slots, oldest first.
-    order: Vec<usize>,
-    visited: Vec<bool>,
-    cold: Vec<bool>,
-    /// Index into `order` where the next sweep resumes.
-    hand: usize,
-}
-
-impl SievePolicy {
-    fn new(slots: usize) -> SievePolicy {
-        SievePolicy {
-            order: Vec::with_capacity(slots),
-            visited: vec![false; slots],
-            cold: vec![false; slots],
-            hand: 0,
-        }
-    }
-
-    fn unlink(&mut self, pos: usize) -> usize {
-        let slot = self.order.remove(pos);
-        if pos < self.hand {
-            self.hand -= 1;
-        }
-        slot
-    }
-}
-
-impl ReplacementPolicy for SievePolicy {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Sieve
-    }
-
-    fn admit(&mut self, slot: usize, warm: bool) {
-        self.visited[slot] = false;
-        self.cold[slot] = !warm;
-        if warm {
-            self.order.push(slot);
-        } else {
-            // Eviction-preferred position: where the hand stands.
-            let at = self.hand.min(self.order.len());
-            self.order.insert(at, slot);
-        }
-    }
-
-    fn touch(&mut self, slot: usize, warm: bool) {
-        if warm {
-            self.visited[slot] = true;
-            self.cold[slot] = false;
-        }
-    }
-
-    fn victim(&mut self, pinned: &dyn Fn(usize) -> bool) -> Option<usize> {
-        if self.order.is_empty() {
-            return None;
-        }
-        // Pass A: drain cold entries (oldest-first from the hand) before
-        // the sieve ever considers warm residents.
-        let n = self.order.len();
-        for i in 0..n {
-            let pos = (self.hand + i) % n;
-            let slot = self.order[pos];
-            if self.cold[slot] && !pinned(slot) {
-                return Some(self.unlink(pos));
-            }
-        }
-        // Pass B: the SIEVE sweep — clear visited bits moving old-to-new,
-        // evict the first unvisited entry, hand stays where it evicted.
-        for _ in 0..2 * n {
-            if self.hand >= self.order.len() {
-                self.hand = 0;
-            }
-            let slot = self.order[self.hand];
-            if pinned(slot) {
-                self.hand += 1;
-                continue;
-            }
-            if self.visited[slot] {
-                self.visited[slot] = false;
-                self.hand += 1;
-                continue;
-            }
-            self.order.remove(self.hand);
-            return Some(slot);
-        }
-        None
-    }
-
-    fn remove(&mut self, slot: usize) {
-        if let Some(pos) = self.order.iter().position(|&s| s == slot) {
-            self.unlink(pos);
-        }
-        self.visited[slot] = false;
-        self.cold[slot] = false;
-    }
-}
-
-/// Strict LRU via logical timestamps. Warm accesses stamp the slot with
-/// the current tick; cold admissions stamp zero (oldest possible) and
-/// cold touches never refresh, so scanned-once pages are evicted first.
-struct LruPolicy {
-    occupied: Vec<bool>,
-    stamp: Vec<u64>,
-    tick: u64,
-}
-
-impl LruPolicy {
-    fn new(slots: usize) -> LruPolicy {
-        LruPolicy {
-            occupied: vec![false; slots],
-            stamp: vec![0; slots],
-            tick: 0,
-        }
-    }
-
-    fn next_tick(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
-    }
-}
-
-impl ReplacementPolicy for LruPolicy {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Lru
-    }
-
-    fn admit(&mut self, slot: usize, warm: bool) {
-        self.occupied[slot] = true;
-        self.stamp[slot] = if warm { self.next_tick() } else { 0 };
-    }
-
-    fn touch(&mut self, slot: usize, warm: bool) {
-        if warm {
-            self.stamp[slot] = self.next_tick();
-        }
-    }
-
-    fn victim(&mut self, pinned: &dyn Fn(usize) -> bool) -> Option<usize> {
-        self.occupied
-            .iter()
-            .enumerate()
-            .filter(|&(slot, &occ)| occ && !pinned(slot))
-            .min_by_key(|&(slot, _)| self.stamp[slot])
-            .map(|(slot, _)| slot)
-    }
-
-    fn remove(&mut self, slot: usize) {
-        self.occupied[slot] = false;
-        self.stamp[slot] = 0;
-    }
-}
-
 // ------------------------------ statistics ------------------------------
 
 /// Buffer-pool usage statistics; feeds the QO's system-condition vector.
 /// Aggregated across shards by [`BufferPool::stats`]; per-shard via
-/// [`BufferPool::shard_stats`] and per-policy via
-/// [`BufferPool::policy_stats`].
+/// [`BufferPool::shard_stats`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BufferStats {
     pub hits: u64,
@@ -579,15 +228,6 @@ impl BufferStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct ShardCounters {
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    point_hits: u64,
-    point_misses: u64,
-}
-
 // -------------------------------- frames --------------------------------
 
 struct Frame {
@@ -602,16 +242,21 @@ struct Frame {
     /// written yet; evicting the frame then orders its write-back after
     /// that copy (see [`ShardInner::superseded`]).
     flushing: bool,
-    pin_count: u32,
 }
 
 struct ShardInner {
     frames: Vec<Option<Frame>>,
     map: HashMap<PageId, usize>,
-    policy: Box<dyn ReplacementPolicy>,
-    /// Hit/miss/eviction counters, split by the policy that was active
-    /// when they accrued (indexed by [`PolicyKind::index`]).
-    counters: [ShardCounters; 3],
+    /// Clock state, indexed by slot: the second-chance bit, set by warm
+    /// accesses.
+    referenced: Vec<bool>,
+    /// Admitted by a sequential sweep and not touched warm since: such
+    /// frames are evicted before the hand considers any warm resident.
+    cold: Vec<bool>,
+    hand: usize,
+    /// Hit/miss/eviction counters; `capacity` and `resident` stay zero
+    /// here and are filled in by [`BufferPool::shard_stats`].
+    counters: BufferStats,
     /// Pages evicted while `flush_all` held an older copy of them: the
     /// eviction wrote newer bytes, so the flusher skips its copy. The
     /// flusher reads this off the latch; its lock is held across each
@@ -620,9 +265,38 @@ struct ShardInner {
 }
 
 impl ShardInner {
-    fn counters_mut(&mut self) -> &mut ShardCounters {
-        let idx = self.policy.kind().index();
-        &mut self.counters[idx]
+    /// A page was installed into `slot`: warm admissions start
+    /// referenced, cold ones unreferenced and flagged cold.
+    fn admit(&mut self, slot: usize, warm: bool) {
+        self.referenced[slot] = warm;
+        self.cold[slot] = !warm;
+    }
+
+    /// The resident page in `slot` was accessed again; only a warm
+    /// access promotes it (and un-colds it).
+    fn touch(&mut self, slot: usize, warm: bool) {
+        if warm {
+            self.referenced[slot] = true;
+            self.cold[slot] = false;
+        }
+    }
+
+    /// The slot to evict from a full shard: the first cold frame from
+    /// the hand on, else the second-chance sweep's pick. The sweep clears
+    /// every reference bit within one revolution, so it always returns
+    /// within two.
+    fn victim(&mut self) -> usize {
+        let n = self.frames.len();
+        if let Some(slot) = (0..n).map(|i| (self.hand + i) % n).find(|&s| self.cold[s]) {
+            return slot;
+        }
+        loop {
+            let slot = self.hand;
+            self.hand = (self.hand + 1) % n;
+            if !std::mem::take(&mut self.referenced[slot]) {
+                return slot;
+            }
+        }
     }
 }
 
@@ -645,8 +319,6 @@ pub struct BufferPool {
     disk: Arc<dyn DiskBackend>,
     shards: Vec<Mutex<ShardInner>>,
     capacity: usize,
-    scan_resistant: bool,
-    policy: RwLock<PolicyKind>,
     metrics: RwLock<Option<PoolMetrics>>,
     /// Serializes `flush_all` calls, so each frame's `flushing` mark has
     /// one owner.
@@ -654,31 +326,30 @@ pub struct BufferPool {
 }
 
 impl BufferPool {
-    /// A pool with default geometry (`min(8, capacity)` shards, clock
-    /// replacement, scan resistance on).
+    /// A pool of `capacity` frames over `min(8, capacity)` shards.
     pub fn new(disk: Arc<dyn DiskBackend>, capacity: usize) -> Self {
-        Self::with_config(disk, BufferConfig::with_capacity(capacity))
+        Self::with_shards(disk, capacity, capacity.min(8))
     }
 
-    pub fn with_config(disk: Arc<dyn DiskBackend>, config: BufferConfig) -> Self {
-        assert!(config.capacity > 0, "buffer pool needs at least one frame");
-        let shards = if config.shards == 0 {
-            config.capacity.min(8)
-        } else {
-            config.shards.clamp(1, config.capacity)
-        };
+    /// A pool of `capacity` frames over exactly `shards` shards (clamped
+    /// to `1..=capacity`).
+    pub fn with_shards(disk: Arc<dyn DiskBackend>, capacity: usize, shards: usize) -> Self {
+        assert!(capacity > 0, "buffer pool needs at least one frame");
+        let shards = shards.clamp(1, capacity);
         // Distribute frames as evenly as possible; every shard gets at
         // least one, and the totals sum to exactly `capacity`.
-        let base = config.capacity / shards;
-        let extra = config.capacity % shards;
+        let base = capacity / shards;
+        let extra = capacity % shards;
         let shard_vec = (0..shards)
             .map(|i| {
                 let slots = base + usize::from(i < extra);
                 Mutex::new(ShardInner {
                     frames: (0..slots).map(|_| None).collect(),
                     map: HashMap::with_capacity(slots),
-                    policy: new_policy(config.policy, slots),
-                    counters: [ShardCounters::default(); 3],
+                    referenced: vec![false; slots],
+                    cold: vec![false; slots],
+                    hand: 0,
+                    counters: BufferStats::default(),
                     superseded: Arc::default(),
                 })
             })
@@ -686,9 +357,7 @@ impl BufferPool {
         BufferPool {
             disk,
             shards: shard_vec,
-            capacity: config.capacity,
-            scan_resistant: config.scan_resistant,
-            policy: RwLock::new(config.policy),
+            capacity,
             metrics: RwLock::new(None),
             flush_lock: Mutex::new(()),
         }
@@ -708,42 +377,11 @@ impl BufferPool {
         self.capacity
     }
 
-    /// The replacement policy currently active in every shard.
-    pub fn policy(&self) -> PolicyKind {
-        *self.policy.read()
-    }
-
-    /// Whether `Sequential` hints are honored (cold admission).
-    pub fn scan_resistant(&self) -> bool {
-        self.scan_resistant
-    }
-
     /// Attach physical-I/O latency sinks (`buffer.read_ns` and
     /// `buffer.write_ns`); every disk read/write the pool performs is
     /// timed into them from then on.
     pub fn attach_metrics(&self, read_ns: Arc<Histogram>, write_ns: Arc<Histogram>) {
         *self.metrics.write() = Some(PoolMetrics { read_ns, write_ns });
-    }
-
-    /// Switch every shard to `kind` at runtime. Resident pages are
-    /// re-admitted warm in slot order (their recency history does not
-    /// transfer); counters keep accruing under the new policy's bucket.
-    pub fn set_policy(&self, kind: PolicyKind) {
-        // Take the kind lock first so concurrent switches serialize and
-        // `policy()` never disagrees with the shards for long.
-        let mut current = self.policy.write();
-        for shard in &self.shards {
-            let mut inner = shard.lock();
-            let slots = inner.frames.len();
-            let mut policy = new_policy(kind, slots);
-            for (slot, frame) in inner.frames.iter().enumerate() {
-                if frame.is_some() {
-                    policy.admit(slot, true);
-                }
-            }
-            inner.policy = policy;
-        }
-        *current = kind;
     }
 
     fn shard_of(&self, id: PageId) -> &Mutex<ShardInner> {
@@ -790,9 +428,8 @@ impl BufferPool {
             dirty: true,
             version: 1,
             flushing: false,
-            pin_count: 0,
         });
-        inner.policy.admit(idx, true);
+        inner.admit(idx, true);
         Ok(id)
     }
 
@@ -819,20 +456,9 @@ impl BufferPool {
     /// Run `f` with mutable access to the page; marks it dirty
     /// (point-access hint).
     pub fn with_page_mut<R>(&self, id: PageId, f: impl FnOnce(&mut Page) -> R) -> StorageResult<R> {
-        self.with_page_mut_hint(id, AccessHint::Point, f)
-    }
-
-    /// Run `f` with mutable access to the page, using `hint` for
-    /// admission/promotion; marks it dirty.
-    pub fn with_page_mut_hint<R>(
-        &self,
-        id: PageId,
-        hint: AccessHint,
-        f: impl FnOnce(&mut Page) -> R,
-    ) -> StorageResult<R> {
         let shard = self.shard_of(id);
         let mut inner = shard.lock();
-        let idx = self.load(&mut inner, id, hint)?;
+        let idx = self.load(&mut inner, id, AccessHint::Point)?;
         let frame = inner.frames[idx].as_mut().expect("frame just loaded");
         frame.dirty = true;
         frame.version += 1;
@@ -926,7 +552,7 @@ impl BufferPool {
         self.disk.sync()
     }
 
-    /// Aggregate statistics across all shards and policies.
+    /// Aggregate statistics across all shards.
     pub fn stats(&self) -> BufferStats {
         let mut total = BufferStats::default();
         for s in self.shard_stats() {
@@ -935,61 +561,34 @@ impl BufferPool {
         total
     }
 
-    /// Per-shard statistics (each entry sums that shard's counters over
-    /// every policy it has run under).
+    /// Per-shard statistics.
     pub fn shard_stats(&self) -> Vec<BufferStats> {
         self.shards
             .iter()
             .map(|shard| {
                 let inner = shard.lock();
-                let mut s = BufferStats {
+                BufferStats {
                     capacity: inner.frames.len(),
                     resident: inner.map.len(),
-                    ..BufferStats::default()
-                };
-                for c in &inner.counters {
-                    s.hits += c.hits;
-                    s.misses += c.misses;
-                    s.evictions += c.evictions;
-                    s.point_hits += c.point_hits;
-                    s.point_misses += c.point_misses;
+                    ..inner.counters
                 }
-                s
             })
             .collect()
     }
 
-    /// Counters split by the policy under which they accrued, summed
-    /// across shards. Capacity/resident are not attributed to a policy
-    /// and read zero here; policies this pool never ran report all-zero.
-    pub fn policy_stats(&self) -> Vec<(PolicyKind, BufferStats)> {
-        let mut per: [BufferStats; 3] = Default::default();
-        for shard in &self.shards {
-            let inner = shard.lock();
-            for (i, c) in inner.counters.iter().enumerate() {
-                per[i].hits += c.hits;
-                per[i].misses += c.misses;
-                per[i].evictions += c.evictions;
-                per[i].point_hits += c.point_hits;
-                per[i].point_misses += c.point_misses;
-            }
-        }
-        PolicyKind::ALL.into_iter().zip(per).collect()
-    }
-
     fn load(&self, inner: &mut ShardInner, id: PageId, hint: AccessHint) -> StorageResult<usize> {
-        let warm = !self.scan_resistant || hint.warm();
+        let warm = hint.warm();
         let point = hint.is_point_class();
         if let Some(&idx) = inner.map.get(&id) {
-            let c = inner.counters_mut();
+            let c = &mut inner.counters;
             c.hits += 1;
             if point {
                 c.point_hits += 1;
             }
-            inner.policy.touch(idx, warm);
+            inner.touch(idx, warm);
             return Ok(idx);
         }
-        let c = inner.counters_mut();
+        let c = &mut inner.counters;
         c.misses += 1;
         if point {
             c.point_misses += 1;
@@ -1016,23 +615,17 @@ impl BufferPool {
             dirty: false,
             version: 0,
             flushing: false,
-            pin_count: 0,
         });
-        inner.policy.admit(idx, warm);
+        inner.admit(idx, warm);
         Ok(idx)
     }
 
-    /// A free slot, or the policy's victim (written back if dirty).
+    /// A free slot, or the clock's victim (written back if dirty).
     fn free_or_evict(&self, inner: &mut ShardInner) -> StorageResult<usize> {
         if let Some(idx) = inner.frames.iter().position(|f| f.is_none()) {
             return Ok(idx);
         }
-        let ShardInner { frames, policy, .. } = inner;
-        let victim =
-            policy.victim(&|slot: usize| frames[slot].as_ref().is_none_or(|f| f.pin_count > 0));
-        let Some(idx) = victim else {
-            return Err(StorageError::BufferPoolFull);
-        };
+        let idx = inner.victim();
         let frame = inner.frames[idx].as_ref().expect("victim frame occupied");
         let id = frame.page_id;
         if frame.flushing {
@@ -1046,8 +639,7 @@ impl BufferPool {
         }
         inner.map.remove(&id);
         inner.frames[idx] = None;
-        inner.policy.remove(idx);
-        inner.counters_mut().evictions += 1;
+        inner.counters.evictions += 1;
         Ok(idx)
     }
 }
@@ -1060,16 +652,8 @@ mod tests {
         BufferPool::new(Arc::new(DiskManager::new()), cap)
     }
 
-    fn pool_with(cap: usize, shards: usize, policy: PolicyKind) -> BufferPool {
-        BufferPool::with_config(
-            Arc::new(DiskManager::new()),
-            BufferConfig {
-                shards,
-                capacity: cap,
-                policy,
-                scan_resistant: true,
-            },
-        )
+    fn pool_with(cap: usize, shards: usize) -> BufferPool {
+        BufferPool::with_shards(Arc::new(DiskManager::new()), cap, shards)
     }
 
     #[test]
@@ -1084,20 +668,18 @@ mod tests {
 
     #[test]
     fn eviction_persists_dirty_pages() {
-        for policy in PolicyKind::ALL {
-            let p = pool_with(2, 2, policy);
-            let ids: Vec<_> = (0..6).map(|_| p.allocate_page().unwrap()).collect();
-            for (i, id) in ids.iter().enumerate() {
-                p.with_page_mut(*id, |pg| pg.insert(format!("v{i}").as_bytes()).unwrap())
-                    .unwrap();
-            }
-            // Every page is still readable after evictions.
-            for (i, id) in ids.iter().enumerate() {
-                let got = p.with_page(*id, |pg| pg.get(0).unwrap().to_vec()).unwrap();
-                assert_eq!(got, format!("v{i}").as_bytes());
-            }
-            assert!(p.stats().evictions >= 4, "policy {policy:?}");
+        let p = pool_with(2, 2);
+        let ids: Vec<_> = (0..6).map(|_| p.allocate_page().unwrap()).collect();
+        for (i, id) in ids.iter().enumerate() {
+            p.with_page_mut(*id, |pg| pg.insert(format!("v{i}").as_bytes()).unwrap())
+                .unwrap();
         }
+        // Every page is still readable after evictions.
+        for (i, id) in ids.iter().enumerate() {
+            let got = p.with_page(*id, |pg| pg.get(0).unwrap().to_vec()).unwrap();
+            assert_eq!(got, format!("v{i}").as_bytes());
+        }
+        assert!(p.stats().evictions >= 4);
     }
 
     #[test]
@@ -1150,7 +732,7 @@ mod tests {
 
     #[test]
     fn shards_split_capacity_exactly() {
-        let p = pool_with(10, 4, PolicyKind::Clock);
+        let p = pool_with(10, 4);
         assert_eq!(p.shard_count(), 4);
         assert_eq!(p.capacity(), 10);
         let per_shard: usize = p.shard_stats().iter().map(|s| s.capacity).sum();
@@ -1162,10 +744,10 @@ mod tests {
 
     #[test]
     fn sequential_admissions_do_not_flush_hot_pages() {
-        // One shard, clock: a hot page re-referenced between scan sweeps
+        // One shard: a hot page re-referenced between scan sweeps
         // must survive a scan 4x the pool size; the scan's own pages
         // (admitted cold) are recycled instead.
-        let p = pool_with(4, 1, PolicyKind::Clock);
+        let p = pool_with(4, 1);
         let hot = p.allocate_page().unwrap();
         let scanned: Vec<_> = (0..16).map(|_| p.allocate_page().unwrap()).collect();
         // Drain allocation warmth so the scan loop starts from a steady
@@ -1194,99 +776,29 @@ mod tests {
 
     #[test]
     fn unhinted_pool_lets_scans_evict_hot_pages() {
-        // Scan resistance off: the same workload as above turns at least
-        // one hot-page access into a miss (the scan flushes it).
-        let p = BufferPool::with_config(
-            Arc::new(DiskManager::new()),
-            BufferConfig {
-                shards: 1,
-                capacity: 4,
-                policy: PolicyKind::Clock,
-                scan_resistant: false,
-            },
-        );
+        // The same workload as above with the sweep `Point`-hinted (no
+        // scan resistance) turns at least one hot-page access into a
+        // miss: the sweep flushes it.
+        let p = pool_with(4, 1);
         let hot = p.allocate_page().unwrap();
         let scanned: Vec<_> = (0..16).map(|_| p.allocate_page().unwrap()).collect();
         for id in &scanned {
-            p.with_page_hint(*id, AccessHint::Sequential, |_| ())
-                .unwrap();
+            p.with_page(*id, |_| ()).unwrap();
         }
         p.with_page(hot, |_| ()).unwrap();
-        let before = p.stats();
+        let mut hot_misses = 0;
         for _ in 0..10 {
+            let before = p.stats().misses;
             p.with_page(hot, |_| ()).unwrap();
+            hot_misses += p.stats().misses - before;
             for id in &scanned {
-                p.with_page_hint(*id, AccessHint::Sequential, |_| ())
-                    .unwrap();
+                p.with_page(*id, |_| ()).unwrap();
             }
         }
-        let after = p.stats();
         assert!(
-            after.point_misses > before.point_misses,
+            hot_misses > 0,
             "without scan resistance the sweep must flush the hot page"
         );
-    }
-
-    #[test]
-    fn policy_equivalence_identical_contents_under_trace() {
-        // All three policies must serve identical page contents for an
-        // identical access trace — replacement changes performance, never
-        // correctness.
-        let trace: Vec<(u64, bool)> = (0..400)
-            .map(|i| {
-                let id = (i * 7 + i * i * 3) % 24;
-                (id as u64, i % 3 == 0)
-            })
-            .collect();
-        let mut outputs: Vec<Vec<Vec<u8>>> = Vec::new();
-        for policy in PolicyKind::ALL {
-            let p = pool_with(6, 2, policy);
-            let ids: Vec<_> = (0..24).map(|_| p.allocate_page().unwrap()).collect();
-            for (i, id) in ids.iter().enumerate() {
-                p.with_page_mut(*id, |pg| pg.insert(format!("init-{i}").as_bytes()).unwrap())
-                    .unwrap();
-            }
-            let mut seen = Vec::new();
-            for &(id, write) in &trace {
-                let pid = ids[id as usize];
-                if write {
-                    p.with_page_mut_hint(pid, AccessHint::Point, |pg| {
-                        pg.update(0, format!("w-{id}").as_bytes()).unwrap()
-                    })
-                    .unwrap();
-                }
-                let got = p
-                    .with_page_hint(pid, AccessHint::Sequential, |pg| {
-                        pg.get(0).unwrap().to_vec()
-                    })
-                    .unwrap();
-                seen.push(got);
-            }
-            outputs.push(seen);
-        }
-        assert_eq!(outputs[0], outputs[1], "clock vs sieve");
-        assert_eq!(outputs[0], outputs[2], "clock vs lru");
-    }
-
-    #[test]
-    fn runtime_policy_switch_preserves_contents() {
-        let p = pool_with(4, 2, PolicyKind::Clock);
-        let ids: Vec<_> = (0..12).map(|_| p.allocate_page().unwrap()).collect();
-        for (i, id) in ids.iter().enumerate() {
-            p.with_page_mut(*id, |pg| pg.insert(format!("v{i}").as_bytes()).unwrap())
-                .unwrap();
-        }
-        for kind in [PolicyKind::Sieve, PolicyKind::Lru, PolicyKind::Clock] {
-            p.set_policy(kind);
-            assert_eq!(p.policy(), kind);
-            for (i, id) in ids.iter().enumerate() {
-                let got = p.with_page(*id, |pg| pg.get(0).unwrap().to_vec()).unwrap();
-                assert_eq!(got, format!("v{i}").as_bytes(), "after switch to {kind:?}");
-            }
-        }
-        // Counters were attributed to every policy that served traffic.
-        let by_policy = p.policy_stats();
-        assert!(by_policy.iter().all(|(_, s)| s.hits + s.misses > 0));
     }
 
     #[test]
@@ -1307,15 +819,6 @@ mod tests {
         assert_eq!(p.dirty_count(), 0);
         let page = Page::from_bytes(&disk.read(id).unwrap()).unwrap();
         assert_eq!(page.get(0).unwrap(), b"two");
-    }
-
-    #[test]
-    fn policy_names_round_trip() {
-        for kind in PolicyKind::ALL {
-            assert_eq!(PolicyKind::parse(kind.name()), Some(kind));
-        }
-        assert_eq!(PolicyKind::parse("SIEVE"), Some(PolicyKind::Sieve));
-        assert_eq!(PolicyKind::parse("2q"), None);
     }
 
     #[test]

@@ -7,8 +7,6 @@ use std::fmt;
 pub enum StorageError {
     /// A page id referenced a page that does not exist on "disk".
     PageNotFound(u64),
-    /// The buffer pool has no evictable frame (all pages pinned).
-    BufferPoolFull,
     /// A tuple did not fit in a page, or a slot id was invalid.
     PageOverflow {
         /// Bytes requested by the caller.
@@ -31,7 +29,6 @@ impl fmt::Display for StorageError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StorageError::PageNotFound(id) => write!(f, "page {id} not found"),
-            StorageError::BufferPoolFull => write!(f, "buffer pool full: all frames pinned"),
             StorageError::PageOverflow { needed, available } => {
                 write!(
                     f,

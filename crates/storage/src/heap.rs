@@ -1,7 +1,7 @@
 //! Heap files: unordered collections of tuples over buffer-pool pages.
 
 use crate::buffer::{AccessHint, BufferPool};
-use crate::error::{StorageError, StorageResult};
+use crate::error::StorageResult;
 use crate::page::{PageId, RecordId};
 use crate::tuple::Tuple;
 use crate::value::DataType;
@@ -10,8 +10,10 @@ use std::sync::Arc;
 
 /// A heap file: an append-friendly list of pages owned by one table.
 ///
-/// Insertion tries the last page first (the common append path), then scans
-/// earlier pages for reusable space before allocating a new page.
+/// Insertion appends to the last page, else to a freshly allocated one.
+/// Earlier pages are not searched for room: a delete frees its slot but
+/// not its payload bytes, so a walk over them would dirty every page it
+/// touched and find none.
 pub struct HeapFile {
     pool: Arc<BufferPool>,
     pages: RwLock<Vec<PageId>>,
@@ -53,32 +55,12 @@ impl HeapFile {
     /// Insert a tuple, returning its record id.
     pub fn insert(&self, tuple: &Tuple) -> StorageResult<RecordId> {
         let payload = tuple.encode(&self.types)?;
-        // Fast path: try the last page.
         let last = self.pages.read().last().copied();
         if let Some(pid) = last {
-            let res = self.pool.with_page_mut(pid, |p| p.insert(&payload))?;
-            if let Ok(slot) = res {
+            if let Ok(slot) = self.pool.with_page_mut(pid, |p| p.insert(&payload))? {
                 return Ok(RecordId::new(pid, slot));
             }
         }
-        // Slow path: scan earlier pages for a hole big enough.
-        let pages = self.pages.read().clone();
-        for pid in pages.iter().rev().skip(1) {
-            let res = self.pool.with_page_mut(*pid, |p| {
-                if p.free_space() >= payload.len() + 8 {
-                    p.insert(&payload)
-                } else {
-                    Err(StorageError::PageOverflow {
-                        needed: payload.len(),
-                        available: p.free_space(),
-                    })
-                }
-            })?;
-            if let Ok(slot) = res {
-                return Ok(RecordId::new(*pid, slot));
-            }
-        }
-        // Allocate a fresh page.
         let pid = self.pool.allocate_page()?;
         self.pages.write().push(pid);
         let slot = self.pool.with_page_mut(pid, |p| p.insert(&payload))??;
@@ -137,23 +119,15 @@ impl HeapFile {
     /// Pull-based batched scan: yields batches of roughly `target_rows`
     /// live tuples, decoding one page at a time. The page list is
     /// snapshotted at creation (like [`HeapFile::scan`]); concurrent
-    /// inserts into new pages are not observed.
+    /// inserts into new pages are not observed. Pages are admitted cold
+    /// (`Sequential` hint), so a sweep never flushes the pool's hot set.
     pub fn scan_batches(&self, target_rows: usize) -> HeapBatchScan {
-        self.scan_batches_hinted(target_rows, AccessHint::Sequential)
-    }
-
-    /// [`HeapFile::scan_batches`] with an explicit access hint — the
-    /// executor's scan operators pass `Sequential` so morsel sweeps admit
-    /// cold; callers draining a tiny heap they intend to reuse may pass
-    /// `Point` to keep its pages warm.
-    pub fn scan_batches_hinted(&self, target_rows: usize, hint: AccessHint) -> HeapBatchScan {
         HeapBatchScan {
             pool: self.pool.clone(),
             types: self.types.clone(),
             pages: self.pages.read().clone(),
             next_page: 0,
             target_rows: target_rows.max(1),
-            hint,
         }
     }
 
@@ -164,17 +138,6 @@ impl HeapFile {
     /// [`HeapFile::scan_batches`] snapshot. Partitions may be empty when
     /// the heap has fewer pages than `n`.
     pub fn scan_partitions(&self, n: usize, target_rows: usize) -> Vec<HeapBatchScan> {
-        self.scan_partitions_hinted(n, target_rows, AccessHint::Sequential)
-    }
-
-    /// [`HeapFile::scan_partitions`] with an explicit access hint (see
-    /// [`HeapFile::scan_batches_hinted`]).
-    pub fn scan_partitions_hinted(
-        &self,
-        n: usize,
-        target_rows: usize,
-        hint: AccessHint,
-    ) -> Vec<HeapBatchScan> {
         let pages = self.pages.read().clone();
         let n = n.max(1);
         let chunk = pages.len().div_ceil(n).max(1);
@@ -188,7 +151,6 @@ impl HeapFile {
                 pages: pages[lo..hi].to_vec(),
                 next_page: 0,
                 target_rows: target_rows.max(1),
-                hint,
             });
         }
         parts
@@ -220,7 +182,6 @@ pub struct HeapBatchScan {
     pages: Vec<PageId>,
     next_page: usize,
     target_rows: usize,
-    hint: AccessHint,
 }
 
 impl HeapBatchScan {
@@ -232,9 +193,10 @@ impl HeapBatchScan {
         while self.next_page < self.pages.len() && out.len() < self.target_rows {
             let pid = self.pages[self.next_page];
             self.next_page += 1;
-            let raw: Vec<(u16, Vec<u8>)> = self.pool.with_page_hint(pid, self.hint, |p| {
-                p.iter().map(|(s, d)| (s, d.to_vec())).collect()
-            })?;
+            let raw: Vec<(u16, Vec<u8>)> =
+                self.pool.with_page_hint(pid, AccessHint::Sequential, |p| {
+                    p.iter().map(|(s, d)| (s, d.to_vec())).collect()
+                })?;
             out.reserve(raw.len());
             for (slot, bytes) in raw {
                 out.push((
@@ -353,6 +315,27 @@ mod tests {
         let extras = h.scan_partitions(1000, 100);
         let non_empty = extras.into_iter().filter(|p| !p.pages.is_empty()).count();
         assert_eq!(non_empty, h.num_pages());
+    }
+
+    #[test]
+    fn insert_touches_only_the_last_and_new_page() {
+        // Filling the last page must not dirty the rest of the heap: a
+        // clean heap of 50+ pages, then inserts up to the next page
+        // allocation, leaves at most the old and new last page dirty.
+        let h = heap();
+        let mut i = 0;
+        while h.num_pages() < 51 {
+            h.insert(&row(i)).unwrap();
+            i += 1;
+        }
+        h.pool.flush_all().unwrap();
+        assert_eq!(h.pool.dirty_count(), 0);
+        let pages = h.num_pages();
+        while h.num_pages() == pages {
+            h.insert(&row(i)).unwrap();
+            i += 1;
+        }
+        assert!(h.pool.dirty_count() <= 2, "dirty: {}", h.pool.dirty_count());
     }
 
     #[test]

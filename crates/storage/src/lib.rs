@@ -3,12 +3,12 @@
 //! Storage substrate for NeurDB-RS, the Rust reproduction of *NeurDB: On the
 //! Design and Implementation of an AI-powered Autonomous Database* (CIDR
 //! 2025). This crate provides what PostgreSQL provided the paper's
-//! prototype: slotted pages, heap files, a sharded buffer pool (pluggable
-//! clock/SIEVE/LRU replacement, scan-resistant admission hints) over a
-//! simulated disk, a catalog with unique-constraint tracking (used by
-//! `TRAIN ON *`), B-tree secondary indexes, and per-column statistics whose
-//! histograms double as the learned query optimizer's data-distribution
-//! input and the drift monitor's divergence signal.
+//! prototype: slotted pages, heap files, a sharded clock buffer pool
+//! (scan-resistant admission hints) over a simulated disk, a catalog with
+//! unique-constraint tracking (used by `TRAIN ON *`), B-tree secondary
+//! indexes, and per-column statistics whose histograms double as the
+//! learned query optimizer's data-distribution input and the drift
+//! monitor's divergence signal.
 //!
 //! ```
 //! use neurdb_storage::{BufferPool, DiskManager, Table, Schema, ColumnDef, DataType, Tuple, Value};
@@ -36,9 +36,7 @@ pub mod tuple;
 pub mod value;
 
 pub use btree::{BTreeIndex, BTreeIndexScan};
-pub use buffer::{
-    AccessHint, BufferConfig, BufferPool, BufferStats, DiskBackend, DiskManager, PolicyKind,
-};
+pub use buffer::{AccessHint, BufferPool, BufferStats, DiskBackend, DiskManager};
 pub use catalog::{Catalog, ColumnDef, Schema, TableId, TableMeta};
 pub use error::{StorageError, StorageResult};
 pub use heap::{HeapBatchScan, HeapFile};

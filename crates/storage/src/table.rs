@@ -170,33 +170,11 @@ impl Table {
         self.heap.scan_batches(target_rows)
     }
 
-    /// [`Table::scan_batches`] with an explicit buffer-pool access hint
-    /// (the executor passes `Sequential` for morsel sweeps).
-    pub fn scan_batches_hinted(
-        &self,
-        target_rows: usize,
-        hint: AccessHint,
-    ) -> crate::heap::HeapBatchScan {
-        self.heap.scan_batches_hinted(target_rows, hint)
-    }
-
     /// Partition the heap into `n` independent batched cursors over
     /// disjoint page ranges (one morsel stream per parallel scan worker);
     /// see [`crate::heap::HeapFile::scan_partitions`].
     pub fn scan_partitions(&self, n: usize, target_rows: usize) -> Vec<crate::heap::HeapBatchScan> {
         self.heap.scan_partitions(n, target_rows)
-    }
-
-    /// [`Table::scan_partitions`] with an explicit buffer-pool access
-    /// hint (repartition producers and parallel scan workers pass
-    /// `Sequential`).
-    pub fn scan_partitions_hinted(
-        &self,
-        n: usize,
-        target_rows: usize,
-        hint: AccessHint,
-    ) -> Vec<crate::heap::HeapBatchScan> {
-        self.heap.scan_partitions_hinted(n, target_rows, hint)
     }
 
     /// Open an index-scan cursor over `[lo, hi]` (inclusive; `None` =

@@ -1,28 +1,14 @@
 //! Concurrency and equivalence suites for the sharded buffer pool:
 //! deterministic multi-thread stress under capacity pressure, a
 //! flush-then-reopen durability round trip over a real file disk, and
-//! property tests proving all replacement policies serve identical
-//! contents for identical access traces.
+//! property tests checking the pool against a model under random access
+//! traces.
 
-use neurdb_storage::{
-    AccessHint, BufferConfig, BufferPool, DiskBackend, DiskManager, Page, PolicyKind,
-};
+use neurdb_storage::{AccessHint, BufferPool, DiskBackend, DiskManager, Page};
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
-
-fn pool_with(capacity: usize, shards: usize, policy: PolicyKind) -> BufferPool {
-    BufferPool::with_config(
-        Arc::new(DiskManager::new()),
-        BufferConfig {
-            shards,
-            capacity,
-            policy,
-            scan_resistant: true,
-        },
-    )
-}
 
 /// Each page stores one little-endian u64 counter in slot 0.
 fn init_counter_pages(pool: &BufferPool, n: usize) -> Vec<u64> {
@@ -48,75 +34,65 @@ fn read_counter(pool: &BufferPool, id: u64) -> u64 {
 /// final `flush_all` must land every counter on disk.
 #[test]
 fn concurrent_mixed_ops_lose_no_writes() {
-    for policy in PolicyKind::ALL {
-        let disk = Arc::new(DiskManager::new());
-        let pool = Arc::new(BufferPool::with_config(
-            disk.clone(),
-            BufferConfig {
-                shards: 4,
-                capacity: 8, // 64 counter pages >> 8 frames: constant eviction
-                policy,
-                scan_resistant: true,
-            },
-        ));
-        const THREADS: usize = 8;
-        const PAGES_PER_THREAD: usize = 8;
-        const INCREMENTS: usize = 320; // divisible by PAGES_PER_THREAD
-        let pages = init_counter_pages(&pool, THREADS * PAGES_PER_THREAD);
+    let disk = Arc::new(DiskManager::new());
+    // 64 counter pages >> 8 frames: constant eviction.
+    let pool = Arc::new(BufferPool::with_shards(disk.clone(), 8, 4));
+    const THREADS: usize = 8;
+    const PAGES_PER_THREAD: usize = 8;
+    const INCREMENTS: usize = 320; // divisible by PAGES_PER_THREAD
+    let pages = init_counter_pages(&pool, THREADS * PAGES_PER_THREAD);
 
-        let handles: Vec<_> = (0..THREADS)
-            .map(|t| {
-                let pool = pool.clone();
-                let mine: Vec<u64> =
-                    pages[t * PAGES_PER_THREAD..(t + 1) * PAGES_PER_THREAD].to_vec();
-                let all = pages.clone();
-                thread::spawn(move || {
-                    for i in 0..INCREMENTS {
-                        // Write my own pages (disjoint ownership: the sum
-                        // of increments is exact, not racy).
-                        let target = mine[i % mine.len()];
-                        pool.with_page_mut(target, |p| {
-                            let v = u64::from_le_bytes(p.get(0).unwrap().try_into().unwrap());
-                            p.update(0, &(v + 1).to_le_bytes()).unwrap();
-                        })
+    let handles: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let pool = pool.clone();
+            let mine: Vec<u64> = pages[t * PAGES_PER_THREAD..(t + 1) * PAGES_PER_THREAD].to_vec();
+            let all = pages.clone();
+            thread::spawn(move || {
+                for i in 0..INCREMENTS {
+                    // Write my own pages (disjoint ownership: the sum
+                    // of increments is exact, not racy).
+                    let target = mine[i % mine.len()];
+                    pool.with_page_mut(target, |p| {
+                        let v = u64::from_le_bytes(p.get(0).unwrap().try_into().unwrap());
+                        p.update(0, &(v + 1).to_le_bytes()).unwrap();
+                    })
+                    .unwrap();
+                    // Read somebody's page with a mixed hint and an
+                    // occasional allocation, to churn the shards.
+                    let other = all[(i * 7 + t * 13) % all.len()];
+                    let hint = match i % 3 {
+                        0 => AccessHint::Point,
+                        1 => AccessHint::Sequential,
+                        _ => AccessHint::Index,
+                    };
+                    pool.with_page_hint(other, hint, |p| p.live_count())
                         .unwrap();
-                        // Read somebody's page with a mixed hint and an
-                        // occasional allocation, to churn the shards.
-                        let other = all[(i * 7 + t * 13) % all.len()];
-                        let hint = match i % 3 {
-                            0 => AccessHint::Point,
-                            1 => AccessHint::Sequential,
-                            _ => AccessHint::Index,
-                        };
-                        pool.with_page_hint(other, hint, |p| p.live_count())
-                            .unwrap();
-                        if i % 97 == 0 {
-                            pool.allocate_page().unwrap();
-                        }
+                    if i % 97 == 0 {
+                        pool.allocate_page().unwrap();
                     }
-                })
+                }
             })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
+        })
+        .collect();
+    for h in handles {
+        h.join().unwrap();
+    }
 
-        let expected = (INCREMENTS / PAGES_PER_THREAD) as u64;
-        for &id in &pages {
-            assert_eq!(
-                read_counter(&pool, id),
-                expected,
-                "policy {policy:?}: lost increment on page {id}"
-            );
-        }
-        // Flush everything and verify the raw disk images agree.
-        pool.flush_all().unwrap();
-        assert_eq!(pool.dirty_count(), 0, "policy {policy:?}");
-        for &id in &pages {
-            let page = Page::from_bytes(&disk.read(id).unwrap()).unwrap();
-            let v = u64::from_le_bytes(page.get(0).unwrap().try_into().unwrap());
-            assert_eq!(v, expected, "policy {policy:?}: stale flush of page {id}");
-        }
+    let expected = (INCREMENTS / PAGES_PER_THREAD) as u64;
+    for &id in &pages {
+        assert_eq!(
+            read_counter(&pool, id),
+            expected,
+            "lost increment on page {id}"
+        );
+    }
+    // Flush everything and verify the raw disk images agree.
+    pool.flush_all().unwrap();
+    assert_eq!(pool.dirty_count(), 0);
+    for &id in &pages {
+        let page = Page::from_bytes(&disk.read(id).unwrap()).unwrap();
+        let v = u64::from_le_bytes(page.get(0).unwrap().try_into().unwrap());
+        assert_eq!(v, expected, "stale flush of page {id}");
     }
 }
 
@@ -171,15 +147,7 @@ fn flush_race_then_reopen_over_file_disk() {
         let path = dir.join("data.ndb");
         {
             let disk = Arc::new(SlowFlushDisk(neurdb_wal::FileDisk::open(&path).unwrap()));
-            let pool = Arc::new(BufferPool::with_config(
-                disk,
-                BufferConfig {
-                    shards: 4,
-                    capacity: 6,
-                    policy: PolicyKind::Sieve,
-                    scan_resistant: true,
-                },
-            ));
+            let pool = Arc::new(BufferPool::with_shards(disk, 6, 4));
             let pages = init_counter_pages(&pool, PAGES);
             let writers: Vec<_> = (0..THREADS)
                 .map(|t| {
@@ -248,75 +216,42 @@ fn trace_strategy(pages: usize, len: usize) -> impl Strategy<Value = Vec<TraceOp
 }
 
 proptest! {
-    /// Against a `Vec<u64>` model: every read through every policy (and
-    /// both shard geometries) returns the model's value, under constant
-    /// eviction pressure.
+    /// Against a `Vec<u64>` model: every read, in both shard geometries,
+    /// returns the model's value under constant eviction pressure.
     #[test]
     fn policies_match_model_under_random_traces(trace in trace_strategy(20, 120)) {
-        for policy in PolicyKind::ALL {
-            for shards in [1usize, 4] {
-                let pool = pool_with(5, shards, policy);
-                let ids = init_counter_pages(&pool, 20);
-                let mut model = [0u64; 20];
-                for op in &trace {
-                    match *op {
-                        TraceOp::Write { page, value } => {
-                            model[page] = value;
-                            pool.with_page_mut(ids[page], |p| {
-                                p.update(0, &value.to_le_bytes()).unwrap()
-                            }).unwrap();
-                        }
-                        TraceOp::Read { page, hint } => {
-                            let hint = match hint {
-                                0 => AccessHint::Point,
-                                1 => AccessHint::Sequential,
-                                _ => AccessHint::Index,
-                            };
-                            let got = pool.with_page_hint(ids[page], hint, |p| {
-                                u64::from_le_bytes(p.get(0).unwrap().try_into().unwrap())
-                            }).unwrap();
-                            prop_assert_eq!(
-                                got, model[page],
-                                "policy {:?} shards {} page {}", policy, shards, page
-                            );
-                        }
+        for shards in [1usize, 4] {
+            let pool = BufferPool::with_shards(Arc::new(DiskManager::new()), 5, shards);
+            let ids = init_counter_pages(&pool, 20);
+            let mut model = [0u64; 20];
+            for op in &trace {
+                match *op {
+                    TraceOp::Write { page, value } => {
+                        model[page] = value;
+                        pool.with_page_mut(ids[page], |p| {
+                            p.update(0, &value.to_le_bytes()).unwrap()
+                        }).unwrap();
+                    }
+                    TraceOp::Read { page, hint } => {
+                        let hint = match hint {
+                            0 => AccessHint::Point,
+                            1 => AccessHint::Sequential,
+                            _ => AccessHint::Index,
+                        };
+                        let got = pool.with_page_hint(ids[page], hint, |p| {
+                            u64::from_le_bytes(p.get(0).unwrap().try_into().unwrap())
+                        }).unwrap();
+                        prop_assert_eq!(
+                            got, model[page],
+                            "shards {} page {}", shards, page
+                        );
                     }
                 }
-                // And the flushed images agree with the model too.
-                pool.flush_all().unwrap();
-                for (page, &id) in ids.iter().enumerate() {
-                    prop_assert_eq!(read_counter(&pool, id), model[page]);
-                }
             }
-        }
-    }
-
-    /// Mid-trace policy switches never change observable contents.
-    #[test]
-    fn runtime_policy_switches_are_transparent(
-        trace in trace_strategy(12, 80),
-        switches in proptest::collection::vec(0u8..3, 1..6),
-    ) {
-        let pool = pool_with(4, 2, PolicyKind::Clock);
-        let ids = init_counter_pages(&pool, 12);
-        let mut model = [0u64; 12];
-        let switch_every = (trace.len() / (switches.len() + 1)).max(1);
-        for (i, op) in trace.iter().enumerate() {
-            if i % switch_every == 0 {
-                let kind = PolicyKind::ALL[switches[(i / switch_every) % switches.len()] as usize];
-                pool.set_policy(kind);
-            }
-            match *op {
-                TraceOp::Write { page, value } => {
-                    model[page] = value;
-                    pool.with_page_mut(ids[page], |p| {
-                        p.update(0, &value.to_le_bytes()).unwrap()
-                    }).unwrap();
-                }
-                TraceOp::Read { page, .. } => {
-                    let got = read_counter(&pool, ids[page]);
-                    prop_assert_eq!(got, model[page]);
-                }
+            // And the flushed images agree with the model too.
+            pool.flush_all().unwrap();
+            for (page, &id) in ids.iter().enumerate() {
+                prop_assert_eq!(read_counter(&pool, id), model[page]);
             }
         }
     }

@@ -24,8 +24,8 @@ use crate::log::{Lsn, Wal, WalMetrics, WalOptions, WalStats};
 use crate::record::{read_schema, write_schema, WalRecord, SYSTEM_TXN};
 use neurdb_obs::MetricsRegistry;
 use neurdb_storage::{
-    BufferConfig, BufferPool, BufferStats, DiskManager, PageId, RecordId, Schema, StorageError,
-    StorageResult, Table, Tuple,
+    BufferPool, BufferStats, DiskManager, PageId, RecordId, Schema, StorageError, StorageResult,
+    Table, Tuple,
 };
 use parking_lot::RwLock;
 use std::collections::{HashMap, HashSet};
@@ -39,31 +39,13 @@ const MANIFEST_MAGIC: &[u8; 8] = b"NDBCKPT1";
 /// Options for opening a durable store.
 #[derive(Debug, Clone, Default)]
 pub struct DurableStoreOptions {
-    /// Buffer pool frames (`0` → the capacity from `buffer`). Kept as a
-    /// shorthand for callers that only want to size the pool; when
-    /// nonzero it overrides `buffer.capacity`.
+    /// Buffer pool frames (`0` → 4096).
     pub frames: usize,
-    /// Full buffer-pool geometry: shard count, capacity, replacement
-    /// policy, and scan-resistant admission.
-    pub buffer: BufferConfig,
     pub wal: WalOptions,
     /// Registry the store's WAL and buffer metrics resolve from;
     /// defaults to a fresh private registry, so embedded and test
     /// instances stay isolated.
     pub registry: Arc<MetricsRegistry>,
-}
-
-impl DurableStoreOptions {
-    fn buffer_config(&self) -> BufferConfig {
-        let mut cfg = self.buffer;
-        if self.frames != 0 {
-            cfg.capacity = self.frames;
-        }
-        if cfg.capacity == 0 {
-            cfg.capacity = 4096;
-        }
-        cfg
-    }
 }
 
 struct StorePaths {
@@ -147,17 +129,8 @@ pub struct DurableStore {
 impl DurableStore {
     /// An in-memory store with no durability (the seed's behavior).
     pub fn volatile(frames: usize) -> DurableStore {
-        Self::volatile_config(BufferConfig::with_capacity(frames))
-    }
-
-    /// An in-memory store with full buffer-pool geometry control
-    /// (shards, replacement policy, scan resistance).
-    pub fn volatile_config(buffer: BufferConfig) -> DurableStore {
         let registry = Arc::new(MetricsRegistry::new());
-        let pool = Arc::new(BufferPool::with_config(
-            Arc::new(DiskManager::new()),
-            buffer,
-        ));
+        let pool = Arc::new(BufferPool::new(Arc::new(DiskManager::new()), frames));
         pool.attach_metrics(
             registry.histogram("buffer.read_ns"),
             registry.histogram("buffer.write_ns"),
@@ -214,7 +187,8 @@ impl DurableStore {
 
         // 2. Page file + buffer pool + manifest tables.
         let disk = Arc::new(FileDisk::open(&paths.data)?);
-        let pool = Arc::new(BufferPool::with_config(disk.clone(), opts.buffer_config()));
+        let frames = if opts.frames == 0 { 4096 } else { opts.frames };
+        let pool = Arc::new(BufferPool::new(disk.clone(), frames));
         pool.attach_metrics(
             opts.registry.histogram("buffer.read_ns"),
             opts.registry.histogram("buffer.write_ns"),
@@ -674,22 +648,6 @@ impl DurableStore {
             r.gauge(&format!("buffer.shard{i}.evictions"))
                 .set(s.evictions as f64);
             r.gauge(&format!("buffer.shard{i}.hit_ratio"))
-                .set(s.hit_ratio());
-        }
-        // Per-policy counters: only policies that have actually served
-        // traffic, so a store that never switched stays compact.
-        for (kind, s) in self.pool.policy_stats() {
-            if s.hits + s.misses == 0 {
-                continue;
-            }
-            let name = kind.name();
-            r.gauge(&format!("buffer.policy.{name}.hits"))
-                .set(s.hits as f64);
-            r.gauge(&format!("buffer.policy.{name}.misses"))
-                .set(s.misses as f64);
-            r.gauge(&format!("buffer.policy.{name}.evictions"))
-                .set(s.evictions as f64);
-            r.gauge(&format!("buffer.policy.{name}.hit_ratio"))
                 .set(s.hit_ratio());
         }
         if let Some(w) = self.wal_stats() {
