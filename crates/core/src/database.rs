@@ -21,7 +21,7 @@ use crate::durability::{
 };
 use crate::error::{CoreError, CoreResult};
 use crate::exec::{execute_plan_instrumented, OpMetrics, QueryResult, BATCH_ROWS};
-use crate::expr::{eval, eval_predicate, literal_value, Bindings};
+use crate::expr::{eval_predicate, literal_value, Bindings};
 use crate::planner::{
     choose_index, conjuncts, plan_select_overlaid, resolvable, PhysicalPlan, PlannedSelect,
     PlannerConfig,
@@ -324,10 +324,6 @@ impl Database {
                             .insert((table.clone(), target.clone()), cached);
                     }
                 }
-                WalRecord::KvCommit { .. } => {
-                    // The KV transaction engine owns these; nothing to do
-                    // in the SQL facade.
-                }
                 other => {
                     replay_model_record(&db.ai.models, other).ok_or_else(|| {
                         CoreError::Storage(neurdb_storage::StorageError::Codec(
@@ -617,6 +613,14 @@ impl Database {
     /// Route one parsed statement to its implementation. `provenance`
     /// receives a SELECT's plan provenance (join-order source + rendered
     /// plan with per-operator timings) for the slow-query log.
+    ///
+    /// Inside an open transaction a statement runs through
+    /// [`Database::run_statement_body`] as well, and any error —
+    /// evaluation, schema violation, unsupported statement, CC conflict
+    /// — auto-aborts the transaction: its buffered effects are
+    /// discarded, the session moves to the `aborted` state (statements
+    /// error until `ROLLBACK`), and the client receives a structured
+    /// [`CoreError::TxnAborted`] naming the transaction.
     fn dispatch_statement(
         &self,
         session: &mut SessionContext,
@@ -631,53 +635,85 @@ impl Database {
             Statement::Rollback => return self.rollback_txn(session),
             _ => {}
         }
-        // Inside an open transaction every statement routes through the
-        // transactional executor (deferred-apply write set + learned CC;
-        // see `transactions.rs`), with auto-abort on error.
-        if session.in_txn() {
-            return self.dispatch_in_txn(session, stmt, provenance);
+        match &mut session.txn {
+            None => self.run_statement_body(session, stmt, provenance),
+            Some(SessionTxn::Failed { id }) => Err(CoreError::Unsupported(format!(
+                "current transaction {id} is aborted; statements are ignored \
+                 until ROLLBACK"
+            ))),
+            Some(SessionTxn::Active(at)) => {
+                at.statements += 1;
+                self.run_statement_body(session, stmt, provenance)
+                    .map_err(|e| CoreError::TxnAborted {
+                        txn: self.auto_abort_txn(session),
+                        message: format!("{e}"),
+                    })
+            }
         }
+    }
+
+    /// Run one non-transaction-control statement, in autocommit or
+    /// inside the session's open transaction. Only three things differ
+    /// inside a transaction: DML stages into the transaction's overlay
+    /// instead of applying at once ([`Database::execute_dml`]), a SELECT
+    /// first registers its table reads with the CC engine, and DDL and
+    /// PREDICT are refused.
+    fn run_statement_body(
+        &self,
+        session: &mut SessionContext,
+        stmt: Statement,
+        provenance: &mut Option<(Option<String>, Vec<String>)>,
+    ) -> CoreResult<Output> {
+        let in_txn = session.in_txn();
         match stmt {
-            // Mutating statements run as a statement-level transaction:
-            // begin, apply+log each operation, commit. There is no undo —
-            // partial effects of a failed statement stay visible (the
-            // seed's semantics) and are committed so recovered state
-            // always matches what a live session observed. The commit
-            // lock serializes the apply with transactional commits so a
-            // concurrent transaction's pre-image validation cannot race
-            // this statement; the durability wait happens after it is
-            // released (group commit batches across sessions).
+            Statement::Insert { .. } | Statement::Update { .. } | Statement::Delete { .. } => {
+                self.execute_dml(session, &stmt).map(Output::Affected)
+            }
+            // DDL restructures shared catalog state the overlay cannot
+            // buffer, and PREDICT trains/serves models with durability
+            // side effects of its own — neither is transactional.
             Statement::CreateTable { .. }
             | Statement::DropTable { .. }
             | Statement::CreateIndex { .. }
-            | Statement::Insert { .. }
-            | Statement::Update { .. }
-            | Statement::Delete { .. } => {
+                if in_txn =>
+            {
+                Err(CoreError::Unsupported(
+                    "DDL cannot run inside a transaction".into(),
+                ))
+            }
+            Statement::Predict(_) if in_txn => Err(CoreError::Unsupported(
+                "PREDICT cannot run inside a transaction".into(),
+            )),
+            // DDL runs as a statement-level store transaction under the
+            // commit lock, like autocommit DML; the durability wait
+            // happens after the lock is released (group commit batches
+            // across sessions).
+            Statement::CreateTable { .. }
+            | Statement::DropTable { .. }
+            | Statement::CreateIndex { .. } => {
                 let (result, lsn) = {
                     let lock_span = trace::span("txn.commit_lock_wait");
                     let _commit = self.cc.commit_lock.lock();
                     drop(lock_span);
-                    let _apply = trace::span("txn.apply");
                     let txn = self.store.begin();
-                    let result = self.apply_mutation(txn, stmt);
+                    let result = self.apply_ddl(txn, stmt);
                     let lsn = self.store.commit_nowait(txn);
                     (result, lsn)
                 };
-                let wait = match lsn {
-                    Some(lsn) => {
-                        let mut sp = trace::span("txn.wait_durable");
-                        sp.attr("lsn", lsn);
-                        self.store.wait_durable(lsn)
-                    }
-                    None => Ok(()),
-                };
-                match (result, wait) {
-                    (Ok(out), Ok(())) => Ok(out),
-                    (Err(e), _) => Err(e),
-                    (Ok(_), Err(e)) => Err(e.into()),
-                }
+                let durable = self.await_durable(lsn);
+                let out = result?;
+                durable?;
+                Ok(out)
             }
             Statement::Select(s) => {
+                // An in-transaction SELECT registers its predicate read
+                // with the CC engine (per FROM table); planning resolves
+                // the session's effective tables (heap merged with the
+                // transaction's overlay).
+                if in_txn {
+                    let tables: Vec<String> = s.from.iter().map(|t| t.name.clone()).collect();
+                    self.txn_note_table_reads(session, &tables)?;
+                }
                 let planned = {
                     let mut sp = trace::span("plan");
                     let planned = self.plan(session, &s)?;
@@ -712,131 +748,6 @@ impl Database {
             Statement::Show { name, arg, format } => self
                 .show(session, &name, arg.as_deref(), format.as_deref())
                 .map(Output::Rows),
-            Statement::Begin | Statement::Commit | Statement::Rollback => {
-                unreachable!("transaction control handled above")
-            }
-        }
-    }
-
-    /// Execute one statement inside the session's open transaction.
-    /// Any error — evaluation, unsupported statement, CC conflict —
-    /// auto-aborts the transaction: its buffered effects are discarded,
-    /// the session moves to the `aborted` state (statements error until
-    /// `ROLLBACK`), and the client receives a structured
-    /// [`CoreError::TxnAborted`] naming the transaction.
-    fn dispatch_in_txn(
-        &self,
-        session: &mut SessionContext,
-        stmt: Statement,
-        provenance: &mut Option<(Option<String>, Vec<String>)>,
-    ) -> CoreResult<Output> {
-        if let Some(SessionTxn::Failed { id }) = &session.txn {
-            return Err(CoreError::Unsupported(format!(
-                "current transaction {id} is aborted; statements are ignored \
-                 until ROLLBACK"
-            )));
-        }
-        match self.run_txn_statement(session, stmt, provenance) {
-            Ok(out) => Ok(out),
-            Err(e) => {
-                let txn = self.auto_abort_txn(session);
-                Err(CoreError::TxnAborted {
-                    txn,
-                    message: format!("{e}"),
-                })
-            }
-        }
-    }
-
-    fn run_txn_statement(
-        &self,
-        session: &mut SessionContext,
-        stmt: Statement,
-        provenance: &mut Option<(Option<String>, Vec<String>)>,
-    ) -> CoreResult<Output> {
-        if let Some(SessionTxn::Active(at)) = &mut session.txn {
-            at.statements += 1;
-        }
-        match stmt {
-            Statement::Insert {
-                table,
-                columns,
-                rows,
-            } => {
-                let Some(SessionTxn::Active(at)) = &mut session.txn else {
-                    unreachable!("run_txn_statement requires an active transaction");
-                };
-                self.txn_insert(at, &table, columns.as_deref(), &rows)
-                    .map(Output::Affected)
-            }
-            Statement::Update {
-                table,
-                assignments,
-                predicate,
-            } => {
-                let Some(SessionTxn::Active(at)) = &mut session.txn else {
-                    unreachable!("run_txn_statement requires an active transaction");
-                };
-                self.txn_update(at, &table, &assignments, predicate.as_ref())
-                    .map(Output::Affected)
-            }
-            Statement::Delete { table, predicate } => {
-                let Some(SessionTxn::Active(at)) = &mut session.txn else {
-                    unreachable!("run_txn_statement requires an active transaction");
-                };
-                self.txn_delete(at, &table, predicate.as_ref())
-                    .map(Output::Affected)
-            }
-            Statement::Select(s) => {
-                // Register the predicate read with the CC engine (per
-                // FROM table), then plan against the session's effective
-                // tables (heap merged with this transaction's overlay).
-                let tables: Vec<String> = s.from.iter().map(|t| t.name.clone()).collect();
-                self.txn_note_table_reads(session, &tables)?;
-                let planned = {
-                    let mut sp = trace::span("plan");
-                    let planned = self.plan(session, &s)?;
-                    if let Some(source) = &planned.join_order {
-                        sp.attr("join_order", source);
-                    }
-                    planned
-                };
-                let (rows, metrics) = {
-                    let mut sp = trace::span("execute");
-                    let (rows, metrics) = execute_plan_instrumented(&planned.plan)?;
-                    sp.attr("rows", rows.rows.len());
-                    (rows, metrics)
-                };
-                self.note_operator_metrics(&metrics);
-                if session.slow_query_ms().is_some() {
-                    *provenance = Some((
-                        planned.join_order.clone(),
-                        planned.plan.render(Some(&metrics)),
-                    ));
-                }
-                Ok(Output::Rows(rows))
-            }
-            Statement::Explain { analyze, stmt } => {
-                self.explain(session, *stmt, analyze).map(Output::Rows)
-            }
-            Statement::Set { name, value } => {
-                self.set_session(session, &name, &value)?;
-                Ok(Output::Affected(0))
-            }
-            Statement::Show { name, arg, format } => self
-                .show(session, &name, arg.as_deref(), format.as_deref())
-                .map(Output::Rows),
-            // DDL restructures shared catalog state the overlay cannot
-            // buffer, and PREDICT trains/serves models with durability
-            // side effects of its own — neither is transactional.
-            Statement::CreateTable { .. }
-            | Statement::DropTable { .. }
-            | Statement::CreateIndex { .. } => Err(CoreError::Unsupported(
-                "DDL cannot run inside a transaction".into(),
-            )),
-            Statement::Predict(_) => Err(CoreError::Unsupported(
-                "PREDICT cannot run inside a transaction".into(),
-            )),
             Statement::Begin | Statement::Commit | Statement::Rollback => {
                 unreachable!("transaction control handled by dispatch_statement")
             }
@@ -1504,18 +1415,17 @@ impl Database {
         *self.join_optimizer.lock() = None;
     }
 
-    fn apply_mutation(&self, txn: u64, stmt: Statement) -> CoreResult<Output> {
+    /// Apply one DDL statement inside store transaction `txn`.
+    fn apply_ddl(&self, txn: u64, stmt: Statement) -> CoreResult<Output> {
         match stmt {
             Statement::CreateTable { name, columns } => {
                 self.create_table(txn, &name, &columns)?;
-                Ok(Output::Affected(0))
             }
             Statement::DropTable { name } => {
                 // Resolve first so a missing table surfaces as
                 // `UnknownTable` (not a generic catalog error).
                 self.table(&name)?;
                 self.store.drop_table(txn, &name)?;
-                Ok(Output::Affected(0))
             }
             Statement::CreateIndex { table, column } => {
                 let t = self.table(&table)?;
@@ -1524,27 +1434,10 @@ impl Database {
                     .column_index(&column)
                     .ok_or_else(|| CoreError::UnknownColumn(column.clone()))?;
                 self.store.create_index(txn, &table, idx)?;
-                Ok(Output::Affected(0))
             }
-            Statement::Insert {
-                table,
-                columns,
-                rows,
-            } => self
-                .insert(txn, &table, columns.as_deref(), &rows)
-                .map(Output::Affected),
-            Statement::Update {
-                table,
-                assignments,
-                predicate,
-            } => self
-                .update(txn, &table, &assignments, predicate.as_ref())
-                .map(Output::Affected),
-            Statement::Delete { table, predicate } => self
-                .delete(txn, &table, predicate.as_ref())
-                .map(Output::Affected),
-            _ => unreachable!("apply_mutation only receives mutating statements"),
+            _ => unreachable!("apply_ddl receives only DDL statements"),
         }
+        Ok(Output::Affected(0))
     }
 
     fn create_table(&self, txn: u64, name: &str, columns: &[ColumnSpec]) -> CoreResult<()> {
@@ -1574,103 +1467,6 @@ impl Database {
             .collect();
         self.store.create_table(txn, name, Schema::new(cols))?;
         Ok(())
-    }
-
-    fn insert(
-        &self,
-        txn: u64,
-        table: &str,
-        columns: Option<&[String]>,
-        rows: &[Vec<Expr>],
-    ) -> CoreResult<usize> {
-        let t = self.table(table)?;
-        let arity = t.schema.arity();
-        // Map provided columns onto schema positions.
-        let positions: Vec<usize> = match columns {
-            Some(cols) => cols
-                .iter()
-                .map(|c| {
-                    t.schema
-                        .column_index(c)
-                        .ok_or_else(|| CoreError::UnknownColumn(c.clone()))
-                })
-                .collect::<CoreResult<_>>()?,
-            None => (0..arity).collect(),
-        };
-        let empty_env = Bindings::default();
-        let empty_row = Tuple::new(vec![]);
-        let mut n = 0;
-        for row in rows {
-            if row.len() != positions.len() {
-                return Err(CoreError::Unsupported(format!(
-                    "INSERT arity mismatch: {} values for {} columns",
-                    row.len(),
-                    positions.len()
-                )));
-            }
-            let mut vals = vec![Value::Null; arity];
-            for (expr, &pos) in row.iter().zip(positions.iter()) {
-                vals[pos] = eval(expr, &empty_row, &empty_env)?;
-            }
-            self.store.insert(txn, table, Tuple::new(vals))?;
-            n += 1;
-        }
-        Ok(n)
-    }
-
-    fn update(
-        &self,
-        txn: u64,
-        table: &str,
-        assignments: &[(String, Expr)],
-        predicate: Option<&Expr>,
-    ) -> CoreResult<usize> {
-        let t = self.table(table)?;
-        let names = t.schema.names();
-        let env = Bindings::for_table(table, &names);
-        let targets: Vec<usize> = assignments
-            .iter()
-            .map(|(c, _)| {
-                t.schema
-                    .column_index(c)
-                    .ok_or_else(|| CoreError::UnknownColumn(c.clone()))
-            })
-            .collect::<CoreResult<_>>()?;
-        let mut n = 0;
-        for (rid, row) in dml_candidates(&t, &env, predicate)? {
-            let hit = match predicate {
-                Some(p) => eval_predicate(p, &row, &env)?,
-                None => true,
-            };
-            if !hit {
-                continue;
-            }
-            let mut new_row = row.clone();
-            for ((_, expr), &pos) in assignments.iter().zip(targets.iter()) {
-                new_row.values[pos] = eval(expr, &row, &env)?;
-            }
-            self.store.update(txn, table, rid, new_row)?;
-            n += 1;
-        }
-        Ok(n)
-    }
-
-    fn delete(&self, txn: u64, table: &str, predicate: Option<&Expr>) -> CoreResult<usize> {
-        let t = self.table(table)?;
-        let names = t.schema.names();
-        let env = Bindings::for_table(table, &names);
-        let mut n = 0;
-        for (rid, row) in dml_candidates(&t, &env, predicate)? {
-            let hit = match predicate {
-                Some(p) => eval_predicate(p, &row, &env)?,
-                None => true,
-            };
-            if hit {
-                self.store.delete(txn, table, rid)?;
-                n += 1;
-            }
-        }
-        Ok(n)
     }
 
     // ------------------------- PREDICT -----------------------------

@@ -1,6 +1,7 @@
 //! Multi-statement transactions for the SQL facade: `BEGIN` / `COMMIT` /
 //! `ROLLBACK`, with the learned concurrency control of `neurdb-cc` on the
-//! serving path.
+//! serving path — and the one DML implementation, which autocommit
+//! statements share (see [`Database::execute_dml`]).
 //!
 //! # Undo strategy: deferred-apply write set
 //!
@@ -13,6 +14,10 @@
 //!
 //! * Concurrent readers scan the untouched heaps — they can never
 //!   observe an uncommitted row, by construction.
+//! * Staging evaluates every row and checks every staged tuple against
+//!   the schema, so a statement that fails — on evaluation, a NOT NULL
+//!   or type violation, or a CC conflict — fails before anything is
+//!   applied.
 //! * `ROLLBACK` (and auto-abort on a statement error) is O(1): drop the
 //!   overlays.
 //! * `COMMIT` revalidates every buffered pre-image against the heap
@@ -22,6 +27,11 @@
 //!   recovery is all-or-nothing per user transaction.
 //! * The store-level transaction spans only the short apply step, so a
 //!   checkpoint's quiesce never waits on an open user transaction.
+//!
+//! An autocommit `INSERT`/`UPDATE`/`DELETE` is the degenerate case: it
+//! stages into a fresh overlay without consulting the CC engine and
+//! applies it at once through the same [`Database::apply_write_set`],
+//! under the commit lock, so every statement is all-or-nothing too.
 //!
 //! The tradeoff versus in-place version chains: read-your-own-writes
 //! needs overlay-aware statement execution (an in-transaction `SELECT`'s
@@ -50,9 +60,10 @@ use crate::expr::{eval, eval_predicate, Bindings};
 use crate::session::SessionContext;
 use neurdb_cc::LivePolicy;
 use neurdb_obs::{trace, Counter, Histogram, MetricsRegistry};
-use neurdb_sql::Expr;
+use neurdb_sql::{Expr, Statement};
 use neurdb_storage::{RecordId, StorageError, Table, Tuple, Value};
 use neurdb_txn::{CcPolicy, EngineConfig, Txn, TxnEngine, TxnError};
+use neurdb_wal::Lsn;
 use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{btree_map, BTreeMap, HashSet};
@@ -301,6 +312,50 @@ fn txn_candidates(
     Ok(rows)
 }
 
+/// Evaluate an `INSERT`'s rows into tuples of `t`'s schema (columns
+/// left out are NULL), each checked against the schema, and append them
+/// to `staged`. Returns the number of rows. On error `staged` may hold
+/// some of the rows; callers discard it.
+fn stage_insert(
+    t: &Table,
+    columns: Option<&[String]>,
+    rows: &[Vec<Expr>],
+    staged: &mut Vec<Tuple>,
+) -> CoreResult<usize> {
+    let arity = t.schema.arity();
+    let positions: Vec<usize> = match columns {
+        Some(cols) => cols
+            .iter()
+            .map(|c| {
+                t.schema
+                    .column_index(c)
+                    .ok_or_else(|| CoreError::UnknownColumn(c.clone()))
+            })
+            .collect::<CoreResult<_>>()?,
+        None => (0..arity).collect(),
+    };
+    let empty_env = Bindings::default();
+    let empty_row = Tuple::new(vec![]);
+    staged.reserve(rows.len());
+    for row in rows {
+        if row.len() != positions.len() {
+            return Err(CoreError::Unsupported(format!(
+                "INSERT arity mismatch: {} values for {} columns",
+                row.len(),
+                positions.len()
+            )));
+        }
+        let mut vals = vec![Value::Null; arity];
+        for (expr, &pos) in row.iter().zip(positions.iter()) {
+            vals[pos] = eval(expr, &empty_row, &empty_env)?;
+        }
+        let tuple = Tuple::new(vals);
+        t.validate(&tuple)?;
+        staged.push(tuple);
+    }
+    Ok(rows.len())
+}
+
 // ------------------------ Database txn methods -------------------------
 
 impl Database {
@@ -454,58 +509,76 @@ impl Database {
         // Apply the write set as one store transaction. Its TxnCommit
         // record is the only commit the WAL sees for this user
         // transaction, so recovery replays it all or not at all.
-        let has_changes = overlays.values().any(|ov| !ov.is_empty());
-        let mut lsn = None;
-        let mut apply_err: Option<CoreError> = None;
-        if has_changes {
-            let mut apply_span = trace::span("txn.overlay_apply");
-            let mut applied_rows = 0u64;
-            let wtxn = self.store().begin();
-            'apply: for (name, ov) in &overlays {
-                for (rid, ch) in &ov.modified {
-                    let r = match &ch.new {
-                        Some(t) => self.store().update(wtxn, name, *rid, t.clone()),
-                        None => self.store().delete(wtxn, name, *rid),
-                    };
-                    applied_rows += 1;
-                    if let Err(e) = r {
-                        apply_err = Some(e.into());
-                        break 'apply;
-                    }
-                }
-                for t in &ov.inserted {
-                    applied_rows += 1;
-                    if let Err(e) = self.store().insert(wtxn, name, t.clone()) {
-                        apply_err = Some(e.into());
-                        break 'apply;
-                    }
-                }
-            }
-            // Close the store txn even on error: applied operations stay
-            // (the executor's statement-level partial-failure semantics,
-            // now per transaction — see ARCHITECTURE.md) and recovered
-            // state matches what live sessions observed.
-            lsn = self.store().commit_nowait(wtxn);
-            apply_span.attr("rows", applied_rows);
-        }
+        let (lsn, applied) = match overlays.values().any(|ov| !ov.is_empty()) {
+            true => self.apply_write_set(overlays),
+            false => (None, Ok(())),
+        };
         drop(guard);
 
-        if let Some(e) = apply_err {
+        // Group-commit friendly: the durability wait happens after the
+        // commit lock is released.
+        let durable = self.await_durable(lsn);
+        if let Err(e) = applied {
             self.cc.metrics.aborts.inc();
             self.note_txn_completion();
             return Err(e);
         }
-        // Group-commit friendly: the durability wait happens after the
-        // commit lock is released.
+        durable?;
+        self.cc.metrics.commits.inc();
+        self.cc.metrics.commit_ns.record_duration(start.elapsed());
+        self.note_txn_completion();
+        Ok(Output::Affected(0))
+    }
+
+    /// Apply a staged write set as one store transaction, table by
+    /// table: changes to committed rows in record-id order, then the
+    /// inserts. Returns the commit record's LSN (`None` on a volatile
+    /// store) and the apply result. Staging validated every tuple
+    /// against its schema, so the apply fails only on a storage error
+    /// (e.g. an updated row that no longer fits its page); the store
+    /// transaction is closed even then, and the operations applied
+    /// before the error stay, as live sessions observed them.
+    pub(crate) fn apply_write_set<S: AsRef<str>>(
+        &self,
+        overlays: impl IntoIterator<Item = (S, TableOverlay)>,
+    ) -> (Option<Lsn>, CoreResult<()>) {
+        let mut span = trace::span("txn.overlay_apply");
+        let mut rows = 0u64;
+        let store = self.store();
+        let wtxn = store.begin();
+        let apply = || -> CoreResult<()> {
+            for (name, ov) in overlays {
+                let name = name.as_ref();
+                for (rid, ch) in ov.modified {
+                    rows += 1;
+                    match ch.new {
+                        Some(t) => store.update(wtxn, name, rid, t)?,
+                        None => store.delete(wtxn, name, rid)?,
+                    }
+                }
+                for t in ov.inserted {
+                    rows += 1;
+                    store.insert(wtxn, name, t)?;
+                }
+            }
+            Ok(())
+        };
+        let applied = apply();
+        let lsn = store.commit_nowait(wtxn);
+        span.attr("rows", rows);
+        (lsn, applied)
+    }
+
+    /// Wait until the commit record at `lsn` is durable (no-op for
+    /// `None`). Callers release the commit lock first, so concurrent
+    /// commits share one group-commit flush.
+    pub(crate) fn await_durable(&self, lsn: Option<Lsn>) -> CoreResult<()> {
         if let Some(lsn) = lsn {
             let mut sp = trace::span("txn.wait_durable");
             sp.attr("lsn", lsn);
             self.store().wait_durable(lsn)?;
         }
-        self.cc.metrics.commits.inc();
-        self.cc.metrics.commit_ns.record_duration(start.elapsed());
-        self.note_txn_completion();
-        Ok(Output::Affected(0))
+        Ok(())
     }
 
     fn commit_conflict(&self, handle: Txn, id: u64, message: String) -> CoreResult<Output> {
@@ -597,100 +670,100 @@ impl Database {
         Ok(())
     }
 
-    // --------------------- in-transaction DML ------------------------
+    // ------------------------------ DML ------------------------------
 
-    /// `INSERT` inside an open transaction: evaluate the rows and
-    /// buffer them; the table's epoch key is written so concurrent
-    /// predicate transactions see the membership change.
-    pub(crate) fn txn_insert(
+    /// `INSERT`/`UPDATE`/`DELETE`, the one DML path. Inside an open
+    /// transaction the statement is staged into the transaction's
+    /// overlay of its table, consulting the CC engine, and applied at
+    /// `COMMIT`. In autocommit it is staged into a fresh overlay without
+    /// the CC engine and applied at once as a one-statement store
+    /// transaction, under the commit lock so a concurrent `COMMIT`'s
+    /// pre-image validation cannot race it. Either way an error while
+    /// staging — evaluation, schema violation, conflict — leaves the
+    /// heaps untouched. Returns the affected row count.
+    pub(crate) fn execute_dml(
         &self,
-        at: &mut ActiveTxn,
-        table: &str,
-        columns: Option<&[String]>,
-        rows: &[Vec<Expr>],
+        session: &mut SessionContext,
+        stmt: &Statement,
     ) -> CoreResult<usize> {
-        let t = self.table(table)?;
-        let arity = t.schema.arity();
-        let positions: Vec<usize> = match columns {
-            Some(cols) => cols
-                .iter()
-                .map(|c| {
-                    t.schema
-                        .column_index(c)
-                        .ok_or_else(|| CoreError::UnknownColumn(c.clone()))
-                })
-                .collect::<CoreResult<_>>()?,
-            None => (0..arity).collect(),
+        let (Statement::Insert { table, .. }
+        | Statement::Update { table, .. }
+        | Statement::Delete { table, .. }) = stmt
+        else {
+            unreachable!("execute_dml receives only DML statements");
         };
-        let empty_env = Bindings::default();
-        let empty_row = Tuple::new(vec![]);
-        let mut staged = Vec::with_capacity(rows.len());
-        for row in rows {
-            if row.len() != positions.len() {
-                return Err(CoreError::Unsupported(format!(
-                    "INSERT arity mismatch: {} values for {} columns",
-                    row.len(),
-                    positions.len()
-                )));
-            }
-            let mut vals = vec![Value::Null; arity];
-            for (expr, &pos) in row.iter().zip(positions.iter()) {
-                vals[pos] = eval(expr, &empty_row, &empty_env)?;
-            }
-            staged.push(Tuple::new(vals));
+        if let Some(SessionTxn::Active(at)) = &mut session.txn {
+            let at = &mut **at;
+            let t = self.table(table)?;
+            let ov = at.overlays.entry(table.clone()).or_default();
+            return self.stage_dml(&t, ov, Some(&mut at.handle), stmt);
         }
-        let ek = epoch_key(table);
-        self.cc.engine.ensure(ek);
-        self.cc_write(&mut at.handle, ek)?;
-        let n = staged.len();
-        at.overlays
-            .entry(table.to_string())
-            .or_default()
-            .inserted
-            .extend(staged);
+        let lock_span = trace::span("txn.commit_lock_wait");
+        let guard = self.cc.commit_lock.lock();
+        drop(lock_span);
+        let t = self.table(table)?;
+        let mut ov = TableOverlay::default();
+        let n = self.stage_dml(&t, &mut ov, None, stmt)?;
+        let (lsn, applied) = self.apply_write_set([(table, ov)]);
+        drop(guard);
+        let durable = self.await_durable(lsn);
+        applied?;
+        durable?;
         Ok(n)
     }
 
-    /// `UPDATE` inside an open transaction: predicate over the
-    /// *effective* rows (heap merged with this transaction's overlay),
-    /// buffering after-images; each touched committed row is read and
-    /// written through the CC engine.
-    pub(crate) fn txn_update(
+    /// Stage one DML statement on `t` into `ov`. With `cc` (the open
+    /// transaction's engine handle) an `INSERT` writes the table's epoch
+    /// key, so concurrent predicate transactions see the membership
+    /// change; see [`Database::stage_write`] for `UPDATE`/`DELETE`.
+    fn stage_dml(
         &self,
-        at: &mut ActiveTxn,
-        table: &str,
-        assignments: &[(String, Expr)],
-        predicate: Option<&Expr>,
+        t: &Table,
+        ov: &mut TableOverlay,
+        cc: Option<&mut Txn>,
+        stmt: &Statement,
     ) -> CoreResult<usize> {
-        self.txn_write(at, table, Some(assignments), predicate)
+        match stmt {
+            Statement::Insert { columns, rows, .. } => {
+                let n = stage_insert(t, columns.as_deref(), rows, &mut ov.inserted)?;
+                if let Some(handle) = cc {
+                    let ek = epoch_key(&t.name);
+                    self.cc.engine.ensure(ek);
+                    self.cc_write(handle, ek)?;
+                }
+                Ok(n)
+            }
+            Statement::Update {
+                assignments,
+                predicate,
+                ..
+            } => self.stage_write(t, ov, cc, Some(assignments), predicate.as_ref()),
+            Statement::Delete { predicate, .. } => {
+                self.stage_write(t, ov, cc, None, predicate.as_ref())
+            }
+            _ => unreachable!("stage_dml receives only DML statements"),
+        }
     }
 
-    /// `DELETE` inside an open transaction: like [`Database::txn_update`],
-    /// buffering tombstones for committed rows and dropping pending
-    /// inserts in place.
-    pub(crate) fn txn_delete(
+    /// Stage `UPDATE` (`assignments` given) or `DELETE` (`None`): the
+    /// predicate runs over the *effective* rows (heap merged with `ov`),
+    /// buffering after-images or tombstones for committed rows and
+    /// rewriting or dropping pending inserts in place. Candidates come
+    /// from [`txn_candidates`] and are collected before any change is
+    /// buffered; the full predicate is re-applied to each one's
+    /// effective row. Every after-image is checked against the schema.
+    /// With `cc`, the table's epoch key and each touched committed row
+    /// are read (and the row written) through the CC engine.
+    fn stage_write(
         &self,
-        at: &mut ActiveTxn,
-        table: &str,
-        predicate: Option<&Expr>,
-    ) -> CoreResult<usize> {
-        self.txn_write(at, table, None, predicate)
-    }
-
-    /// The body of in-transaction `UPDATE` (`assignments` given) and
-    /// `DELETE` (`None`). Candidates come from [`txn_candidates`] and are
-    /// collected before any change is buffered; the full predicate is
-    /// re-applied to each one's effective row.
-    fn txn_write(
-        &self,
-        at: &mut ActiveTxn,
-        table: &str,
+        t: &Table,
+        ov: &mut TableOverlay,
+        mut cc: Option<&mut Txn>,
         assignments: Option<&[(String, Expr)]>,
         predicate: Option<&Expr>,
     ) -> CoreResult<usize> {
-        let t = self.table(table)?;
         let names = t.schema.names();
-        let env = Bindings::for_table(table, &names);
+        let env = Bindings::for_table(&t.name, &names);
         let targets: Vec<usize> = assignments
             .unwrap_or_default()
             .iter()
@@ -715,34 +788,32 @@ impl Database {
             for ((_, expr), &pos) in assignments.iter().zip(targets.iter()) {
                 new_row.values[pos] = eval(expr, row, &env)?;
             }
+            t.validate(&new_row)?;
             Ok(Some(new_row))
         };
-        let ek = epoch_key(table);
-        self.cc.engine.ensure(ek);
-        self.cc_read(&mut at.handle, ek)?;
-        let ov = at.overlays.entry(table.to_string()).or_default();
+        if let Some(handle) = cc.as_deref_mut() {
+            let ek = epoch_key(&t.name);
+            self.cc.engine.ensure(ek);
+            self.cc_read(handle, ek)?;
+        }
         let mut n = 0;
-        for (rid, heap_row) in txn_candidates(&t, &env, predicate, ov)? {
+        for (rid, heap_row) in txn_candidates(t, &env, predicate, ov)? {
             let effective = match ov.modified.get(&rid) {
                 Some(RowChange { new: None, .. }) => continue,
-                Some(RowChange { new: Some(cur), .. }) => cur.clone(),
-                None => heap_row.clone(),
+                Some(RowChange { new: Some(cur), .. }) => cur,
+                None => &heap_row,
             };
-            if !hit(&effective)? {
+            if !hit(effective)? {
                 continue;
             }
-            let rk = row_key(table, rid);
-            self.cc.engine.ensure(rk);
-            self.cc.metrics.decisions.add(2);
-            self.cc
-                .engine
-                .read(&mut at.handle, rk)
-                .map_err(conflict_err)?;
-            self.cc
-                .engine
-                .write(&mut at.handle, rk, 0)
-                .map_err(conflict_err)?;
-            let new = after(&effective)?;
+            if let Some(handle) = cc.as_deref_mut() {
+                let rk = row_key(&t.name, rid);
+                self.cc.engine.ensure(rk);
+                self.cc.metrics.decisions.add(2);
+                self.cc.engine.read(handle, rk).map_err(conflict_err)?;
+                self.cc.engine.write(handle, rk, 0).map_err(conflict_err)?;
+            }
+            let new = after(effective)?;
             match ov.modified.entry(rid) {
                 btree_map::Entry::Occupied(mut e) => e.get_mut().new = new,
                 btree_map::Entry::Vacant(e) => {
@@ -753,8 +824,8 @@ impl Database {
         }
         // Rows this transaction itself inserted (no record id yet, no
         // engine key — they are invisible outside this session). An
-        // error aborts the transaction, so a half-rebuilt list is never
-        // observed.
+        // error discards the whole overlay, so a half-rebuilt list is
+        // never observed.
         let mut kept = Vec::with_capacity(ov.inserted.len());
         for row in std::mem::take(&mut ov.inserted) {
             if !hit(&row)? {

@@ -86,7 +86,10 @@ impl Table {
     }
 
     /// Validate a tuple against the schema (arity, types, nullability).
-    fn validate(&self, tuple: &Tuple) -> StorageResult<()> {
+    /// [`Table::insert`] and [`Table::update`] run it at the storage
+    /// boundary; the SQL layer also runs it while staging a statement,
+    /// so a violation fails the statement before anything is applied.
+    pub fn validate(&self, tuple: &Tuple) -> StorageResult<()> {
         if tuple.arity() != self.schema.arity() {
             return Err(StorageError::Constraint(format!(
                 "tuple arity {} != schema arity {}",

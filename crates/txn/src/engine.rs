@@ -36,17 +36,6 @@ pub enum AbortReason {
     ReadValidation,
     SsiDangerousStructure,
     PolicyChoice,
-    /// The durability hook could not persist the commit record.
-    DurabilityFailure,
-}
-
-/// Commit-ordering hook: called after validation succeeds and while the
-/// write set is still locked, **before** the new versions become visible
-/// to other transactions. A WAL-backed implementation appends and forces
-/// the commit record here, giving log-before-visible ordering. Returning
-/// `Err` aborts the transaction.
-pub trait DurabilityHook: Send + Sync {
-    fn persist_commit(&self, txn: TxnId, writes: &[(u64, u64)]) -> Result<(), String>;
 }
 
 impl std::fmt::Display for TxnError {
@@ -194,8 +183,6 @@ pub struct TxnEngine {
     /// off a single lock (PostgreSQL's SerializableXactHashLock is a known
     /// bottleneck; we shard rather than reproduce it).
     ssi: Vec<Mutex<HashMap<TxnId, Arc<SsiFlags>>>>,
-    /// Optional WAL-backed commit persistence (see [`DurabilityHook`]).
-    durability: Option<Arc<dyn DurabilityHook>>,
 }
 
 const SSI_SHARDS: usize = 64;
@@ -216,15 +203,7 @@ impl TxnEngine {
             ssi: (0..SSI_SHARDS)
                 .map(|_| Mutex::new(HashMap::new()))
                 .collect(),
-            durability: None,
         }
-    }
-
-    /// Route commits through a durability hook (e.g. the WAL): the hook
-    /// runs after validation, under the write-set locks, before the new
-    /// versions become visible.
-    pub fn set_durability(&mut self, hook: Arc<dyn DurabilityHook>) {
-        self.durability = Some(hook);
     }
 
     fn ssi_shard(&self, id: TxnId) -> &Mutex<HashMap<TxnId, Arc<SsiFlags>>> {
@@ -519,22 +498,7 @@ impl TxnEngine {
                 }
             }
         }
-        // Phase 3: commit ordering through the WAL — persist the commit
-        // record while the write set is still locked and before any other
-        // transaction can observe the new versions. The commit timestamp
-        // is drawn only after persistence succeeds, so the slow fsync
-        // cannot widen the window between a published timestamp and the
-        // installed versions (snapshot readers key off timestamps).
-        if let Some(hook) = &self.durability {
-            let mut writes: Vec<(u64, u64)> =
-                txn.write_buffer.iter().map(|(&k, &v)| (k, v)).collect();
-            writes.sort_unstable_by_key(|(k, _)| *k);
-            if hook.persist_commit(txn.id, &writes).is_err() {
-                self.rollback_internal(&mut txn, &write_keys);
-                return Err(TxnError::Abort(AbortReason::DurabilityFailure));
-            }
-        }
-        // Phase 4: install versions at a fresh commit timestamp.
+        // Phase 3: install versions at a fresh commit timestamp.
         let commit_ts = self.clock.fetch_add(1, Ordering::Relaxed);
         for (&key, &value) in &txn.write_buffer {
             let mut m = self.shard(key).map.lock();

@@ -28,7 +28,7 @@ pub mod metrics;
 pub mod policy;
 pub mod workload;
 
-pub use engine::{AbortReason, DurabilityHook, EngineConfig, Ts, Txn, TxnEngine, TxnError, TxnId};
+pub use engine::{AbortReason, EngineConfig, Ts, Txn, TxnEngine, TxnError, TxnId};
 pub use metrics::ContentionTracker;
 pub use policy::{
     CcPolicy, KeyContention, Occ, OpCtx, ReadDecision, ReadMode, Ssi, TwoPhaseLocking,

@@ -4,9 +4,11 @@
 //! the encoded tuple, DDL carries the schema, index creation carries the
 //! column, and the model-manager events carry the layer blobs that make
 //! NeurDB's trained models crash-safe. Transaction brackets
-//! (`TxnBegin`/`TxnCommit`/`TxnAbort`) scope statement-level atomicity;
-//! records logged under [`SYSTEM_TXN`] are auto-committed (model events
-//! and other registry mutations).
+//! (`TxnBegin`/`TxnCommit`) scope atomicity: recovery replays a
+//! transaction's records only when its commit record made it to the log.
+//! Records logged under [`SYSTEM_TXN`] are auto-committed (model events
+//! and other registry mutations). Tags 2 and 13 are retired and decode
+//! as malformed.
 
 use crate::codec::{Reader, Writer};
 use neurdb_storage::{ColumnDef, DataType, RecordId, Schema};
@@ -109,12 +111,11 @@ fn read_rid(r: &mut Reader) -> Option<RecordId> {
 /// One redo record. All variants carry the owning transaction id.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
-    /// Transaction start (statement-level in the SQL facade).
+    /// Transaction start (one statement, or one user transaction's write
+    /// set, in the SQL facade).
     TxnBegin { txn: u64 },
     /// Transaction commit — the durability point.
     TxnCommit { txn: u64 },
-    /// Transaction abandoned (no undo is performed; redo skips it).
-    TxnAbort { txn: u64 },
     /// Heap tuple inserted at `rid`; `tuple` is the schema-typed encoding.
     HeapInsert {
         txn: u64,
@@ -180,9 +181,6 @@ pub enum WalRecord {
         mid: u64,
         meta: Vec<u8>,
     },
-    /// Key-value commit from the transaction engine (`neurdb-txn`):
-    /// commit ordering flows through the WAL before locks release.
-    KvCommit { txn: u64, writes: Vec<(u64, u64)> },
     /// Checkpoint completion marker (diagnostic; the authoritative
     /// checkpoint LSN lives in the manifest).
     CheckpointEnd { lsn: u64 },
@@ -195,7 +193,6 @@ impl WalRecord {
         match self {
             WalRecord::TxnBegin { txn }
             | WalRecord::TxnCommit { txn }
-            | WalRecord::TxnAbort { txn }
             | WalRecord::HeapInsert { txn, .. }
             | WalRecord::HeapUpdate { txn, .. }
             | WalRecord::HeapDelete { txn, .. }
@@ -205,8 +202,7 @@ impl WalRecord {
             | WalRecord::ModelRegister { txn, .. }
             | WalRecord::ModelSaveFull { txn, .. }
             | WalRecord::ModelSaveIncremental { txn, .. }
-            | WalRecord::ModelBind { txn, .. }
-            | WalRecord::KvCommit { txn, .. } => *txn,
+            | WalRecord::ModelBind { txn, .. } => *txn,
             WalRecord::CheckpointEnd { .. } => SYSTEM_TXN,
         }
     }
@@ -221,10 +217,6 @@ impl WalRecord {
             }
             WalRecord::TxnCommit { txn } => {
                 w.u8(1);
-                w.u64(*txn);
-            }
-            WalRecord::TxnAbort { txn } => {
-                w.u8(2);
                 w.u64(*txn);
             }
             WalRecord::HeapInsert {
@@ -330,15 +322,6 @@ impl WalRecord {
                 w.u64(*mid);
                 w.bytes(meta);
             }
-            WalRecord::KvCommit { txn, writes } => {
-                w.u8(13);
-                w.u64(*txn);
-                w.u32(writes.len() as u32);
-                for (k, v) in writes {
-                    w.u64(*k);
-                    w.u64(*v);
-                }
-            }
             WalRecord::CheckpointEnd { lsn } => {
                 w.u8(14);
                 w.u64(*lsn);
@@ -354,7 +337,6 @@ impl WalRecord {
         let rec = match tag {
             0 => WalRecord::TxnBegin { txn: r.u64()? },
             1 => WalRecord::TxnCommit { txn: r.u64()? },
-            2 => WalRecord::TxnAbort { txn: r.u64()? },
             3 => WalRecord::HeapInsert {
                 txn: r.u64()?,
                 table: r.str()?,
@@ -423,15 +405,6 @@ impl WalRecord {
                 mid: r.u64()?,
                 meta: r.bytes()?.to_vec(),
             },
-            13 => {
-                let txn = r.u64()?;
-                let n = r.u32()? as usize;
-                let mut writes = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    writes.push((r.u64()?, r.u64()?));
-                }
-                WalRecord::KvCommit { txn, writes }
-            }
             14 => WalRecord::CheckpointEnd { lsn: r.u64()? },
             _ => return None,
         };
@@ -451,7 +424,6 @@ mod tests {
         vec![
             WalRecord::TxnBegin { txn: 9 },
             WalRecord::TxnCommit { txn: 9 },
-            WalRecord::TxnAbort { txn: 10 },
             WalRecord::HeapInsert {
                 txn: 9,
                 table: "t".into(),
@@ -509,10 +481,6 @@ mod tests {
                 mid: 1,
                 meta: vec![0xAB; 20],
             },
-            WalRecord::KvCommit {
-                txn: 77,
-                writes: vec![(1, 10), (2, 20)],
-            },
             WalRecord::CheckpointEnd { lsn: 1 << 33 },
         ]
     }
@@ -538,6 +506,12 @@ mod tests {
             }
         }
         assert_eq!(WalRecord::decode(&[200]), None);
+        // Retired tags 2 and 13 no longer decode.
+        assert_eq!(WalRecord::decode(&[2, 0, 0, 0, 0, 0, 0, 0, 0]), None);
+        assert_eq!(
+            WalRecord::decode(&[13, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
+            None
+        );
         assert_eq!(WalRecord::decode(&[]), None);
     }
 

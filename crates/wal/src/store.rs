@@ -237,17 +237,12 @@ impl DurableStore {
         // land in different slots than they originally did.
         let mut rid_map: HashMap<(String, RecordId), RecordId> = HashMap::new();
         for (_, rec) in log {
-            // KvCommit is self-committing: the transaction engine writes
-            // it only at its commit point (its txn ids are a separate id
-            // space with no begin/commit brackets in this log).
-            let auto_committed = matches!(rec, WalRecord::KvCommit { .. });
-            if !auto_committed && !committed.contains(&rec.txn()) {
+            if !committed.contains(&rec.txn()) {
                 continue;
             }
             match rec {
                 WalRecord::TxnBegin { .. }
                 | WalRecord::TxnCommit { .. }
-                | WalRecord::TxnAbort { .. }
                 | WalRecord::CheckpointEnd { .. } => {}
                 WalRecord::CreateTable { table, schema, .. } => {
                     tables.insert(
@@ -292,8 +287,7 @@ impl DurableStore {
                 rec @ (WalRecord::ModelRegister { .. }
                 | WalRecord::ModelSaveFull { .. }
                 | WalRecord::ModelSaveIncremental { .. }
-                | WalRecord::ModelBind { .. }
-                | WalRecord::KvCommit { .. }) => {
+                | WalRecord::ModelBind { .. }) => {
                     app.records.push(rec);
                 }
             }
@@ -322,9 +316,10 @@ impl DurableStore {
 
     // ------------------------- transactions -------------------------
 
-    /// Start a transaction (statement-level in the SQL facade). Every
-    /// `begin` must be paired with a `commit` or `abort`, or checkpoints
-    /// will wait forever for the transaction to finish.
+    /// Start a transaction (one statement or one user transaction's
+    /// write set in the SQL facade). Every `begin` must be paired with a
+    /// `commit` or `commit_nowait`, or checkpoints will wait forever for
+    /// the transaction to finish.
     pub fn begin(&self) -> u64 {
         let txn = self.next_txn.fetch_add(1, Ordering::Relaxed);
         *self.active_txns.lock().unwrap() += 1;
@@ -362,15 +357,6 @@ impl DurableStore {
         let lsn = self.log(&WalRecord::TxnCommit { txn });
         self.finish_txn();
         lsn
-    }
-
-    /// Abandon a transaction. No undo is performed — in-memory effects
-    /// stay visible (matching the executor's partial-failure semantics);
-    /// the record exists so recovery can tell deliberate abandonment
-    /// from a crash tail.
-    pub fn abort(&self, txn: u64) {
-        self.log(&WalRecord::TxnAbort { txn });
-        self.finish_txn();
     }
 
     // --------------------------- catalog ----------------------------

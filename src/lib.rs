@@ -1,9 +1,7 @@
 //! # neurdb
 //!
 //! Workspace facade crate: re-exports the public API of every NeurDB-RS
-//! subsystem and hosts the cross-crate glue that would otherwise create
-//! dependency cycles (e.g. routing transaction-engine commits through the
-//! write-ahead log).
+//! subsystem under one name.
 
 pub use neurdb_cc as cc;
 pub use neurdb_core as core;
@@ -16,158 +14,3 @@ pub use neurdb_storage as storage;
 pub use neurdb_txn as txn;
 pub use neurdb_wal as wal;
 pub use neurdb_workloads as workloads;
-
-use neurdb_txn::{DurabilityHook, TxnId};
-use neurdb_wal::{DurableStore, WalRecord};
-use std::sync::Arc;
-
-/// Routes transaction-engine commits through the write-ahead log:
-/// [`neurdb_txn::TxnEngine`] calls this after validation, under the
-/// write-set locks, so the commit record is durable before the new
-/// versions become visible (log-before-visible commit ordering).
-///
-/// Lives in the facade crate because it bridges two otherwise
-/// independent layers (`txn` and `wal`).
-pub struct WalCommitLog {
-    store: Arc<DurableStore>,
-}
-
-impl WalCommitLog {
-    pub fn new(store: Arc<DurableStore>) -> Self {
-        WalCommitLog { store }
-    }
-}
-
-impl DurabilityHook for WalCommitLog {
-    fn persist_commit(&self, txn: TxnId, writes: &[(u64, u64)]) -> Result<(), String> {
-        let record = WalRecord::KvCommit {
-            txn,
-            writes: writes.to_vec(),
-        };
-        match self.store.append_record(&record) {
-            Some(lsn) => self.store.wait_durable(lsn).map_err(|e| e.to_string()),
-            None => Ok(()), // volatile store: nothing to persist
-        }
-    }
-}
-
-/// Replay committed KV writes from recovered WAL records into a
-/// transaction engine, in commit (log) order. Returns the number of
-/// commits applied. Each write is installed as a loaded version, so a
-/// reopened engine serves exactly the durable prefix — the missing half
-/// of the `KvCommit` story (commits were logged but never reloaded).
-pub fn replay_kv_commits(engine: &neurdb_txn::TxnEngine, records: &[WalRecord]) -> usize {
-    let mut applied = 0;
-    for rec in records {
-        if let WalRecord::KvCommit { writes, .. } = rec {
-            for &(key, value) in writes {
-                engine.load(key, value);
-            }
-            applied += 1;
-        }
-    }
-    applied
-}
-
-/// Open (or create) a durable KV transaction engine in `dir`: run store
-/// recovery, replay every committed KV write back into a fresh engine,
-/// and wire its future commits through the WAL. Returns the store (for
-/// checkpoints / crash hooks) alongside the recovered engine.
-pub fn open_kv_engine(
-    dir: impl AsRef<std::path::Path>,
-    policy: Arc<dyn neurdb_txn::CcPolicy>,
-    cfg: neurdb_txn::EngineConfig,
-    opts: neurdb_wal::DurableStoreOptions,
-) -> neurdb_storage::StorageResult<(Arc<DurableStore>, neurdb_txn::TxnEngine)> {
-    let (store, recovered) = DurableStore::open(dir.as_ref(), opts)?;
-    let store = Arc::new(store);
-    let mut engine = neurdb_txn::TxnEngine::new(policy, cfg);
-    replay_kv_commits(&engine, &recovered.records);
-    engine.set_durability(Arc::new(WalCommitLog::new(store.clone())));
-    Ok((store, engine))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use neurdb_txn::{execute_spec, EngineConfig, Op, TwoPhaseLocking, TxnEngine, TxnSpec};
-    use neurdb_wal::DurableStoreOptions;
-
-    #[test]
-    fn txn_engine_commits_flow_through_the_wal() {
-        let dir = std::env::temp_dir().join(format!("neurdb-kvwal-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        {
-            let (store, _) = DurableStore::open(&dir, DurableStoreOptions::default()).unwrap();
-            let store = Arc::new(store);
-            let mut engine = TxnEngine::new(Arc::new(TwoPhaseLocking), EngineConfig::default());
-            engine.set_durability(Arc::new(WalCommitLog::new(store.clone())));
-            for k in 0..4 {
-                engine.load(k, 0);
-            }
-            for i in 0..10 {
-                let spec = TxnSpec::new(0, vec![Op::Rmw(i % 4, 1)]);
-                execute_spec(&engine, &spec).unwrap();
-            }
-            store.sync().unwrap();
-        }
-        // Reopen: every committed KV write is in the recovered records,
-        // in commit order.
-        let (_, app) = DurableStore::open(&dir, DurableStoreOptions::default()).unwrap();
-        let kv: Vec<_> = app
-            .records
-            .iter()
-            .filter_map(|r| match r {
-                WalRecord::KvCommit { writes, .. } => Some(writes.clone()),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(kv.len(), 10, "all ten commits logged");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn kv_engine_recovers_committed_writes_on_open() {
-        let dir = std::env::temp_dir().join(format!("neurdb-kvrec-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let keys = 6u64;
-        {
-            let (store, engine) = open_kv_engine(
-                &dir,
-                Arc::new(TwoPhaseLocking),
-                EngineConfig::default(),
-                DurableStoreOptions::default(),
-            )
-            .unwrap();
-            for k in 0..keys {
-                engine.load(k, 0);
-            }
-            // Each committed txn bumps its key to a recognizable value.
-            for i in 0..30u64 {
-                let spec = TxnSpec::new(0, vec![Op::Write(i % keys, 100 + i)]);
-                execute_spec(&engine, &spec).unwrap();
-            }
-            store.sync().unwrap();
-            // Drop without checkpoint: recovery must come from the log.
-        }
-        let (_store, recovered) = open_kv_engine(
-            &dir,
-            Arc::new(TwoPhaseLocking),
-            EngineConfig::default(),
-            DurableStoreOptions::default(),
-        )
-        .unwrap();
-        // The last committed write per key survives the "crash" (the last
-        // write to key k was at i = 24 + k, value 124 + k). The replay
-        // covers committed transactions only — `load` seeding bypasses
-        // commit and is the caller's job, as at first boot.
-        for k in 0..keys {
-            assert_eq!(recovered.peek(k), Some(124 + k), "key {k}");
-        }
-        // And the recovered engine keeps journaling: new commits append.
-        let spec = TxnSpec::new(0, vec![Op::Write(0, 999)]);
-        execute_spec(&recovered, &spec).unwrap();
-        assert_eq!(recovered.peek(0), Some(999));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-}

@@ -556,3 +556,38 @@ fn concurrent_client_txns_recover_durable_prefix() {
     drop(db);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A statement that fails on a schema constraint leaves no trace: the
+/// live state equals the pre-statement state, nothing reaches the log,
+/// and a reopen recovers the same state.
+#[test]
+fn failed_statement_leaves_no_trace_live_or_recovered() {
+    let dir = tmpdir("failed-stmt");
+    let before = {
+        let db = Database::open_with(&dir, opts()).unwrap();
+        db.execute("CREATE TABLE t (id INT, v INT NOT NULL)")
+            .unwrap();
+        db.execute("CREATE INDEX ON t (id)").unwrap();
+        db.execute("INSERT INTO t VALUES (1, 1), (2, 2), (3, 3)")
+            .unwrap();
+        let before = digest(&db);
+        let records = db.wal_stats().unwrap().appended_records;
+        for bad in [
+            "INSERT INTO t VALUES (4, 4), (5, NULL), (6, 6)",
+            "UPDATE t SET v = 10 / (id - 2)",
+        ] {
+            assert!(db.execute(bad).is_err(), "{bad} must fail");
+            assert_eq!(digest(&db), before, "live state after {bad}");
+        }
+        assert_eq!(
+            db.wal_stats().unwrap().appended_records,
+            records,
+            "a failed statement must not reach the WAL"
+        );
+        before
+    };
+    let db = Database::open_with(&dir, opts()).unwrap();
+    assert_eq!(digest(&db), before, "recovered state");
+    drop(db);
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -199,6 +199,62 @@ fn constraint_errors_surface() {
     assert!(db.execute("CREATE TABLE users (x INT)").is_err());
 }
 
+/// Sorted rows of `t`, plus what an index lookup of every id returns
+/// when `t (id)` is indexed.
+fn table_digest(db: &Database) -> Vec<String> {
+    let t = db.table("t").unwrap();
+    let mut rows: Vec<String> = t
+        .scan()
+        .unwrap()
+        .into_iter()
+        .map(|(_, r)| format!("{r:?}"))
+        .collect();
+    if t.has_index(0) {
+        for id in 0..5 {
+            let hits = t.lookup(0, &Value::Int(id)).unwrap();
+            rows.push(format!("idx {id} -> {}", hits.len()));
+        }
+    }
+    rows.sort();
+    rows
+}
+
+/// An autocommit statement is all-or-nothing: a multi-row INSERT whose
+/// second row violates NOT NULL, and an UPDATE whose after-image turns
+/// NULL on the second row it touches, each fail and leave the table
+/// (and its index) exactly as it was.
+#[test]
+fn failed_autocommit_statements_leave_no_partial_effects() {
+    for indexed in [false, true] {
+        let db = Database::new();
+        db.execute("CREATE TABLE t (id INT, v INT NOT NULL)")
+            .unwrap();
+        if indexed {
+            db.execute("CREATE INDEX ON t (id)").unwrap();
+        }
+        let before = table_digest(&db);
+        let err = db
+            .execute("INSERT INTO t VALUES (1, 1), (2, NULL), (3, 3)")
+            .unwrap_err();
+        assert!(format!("{err}").contains("null"), "got: {err}");
+        assert_eq!(table_digest(&db), before, "indexed: {indexed}");
+
+        db.execute("INSERT INTO t VALUES (1, 1), (2, 2), (3, 3)")
+            .unwrap();
+        let before = table_digest(&db);
+        // 10 / (id - 2) divides by zero at id 2, which evaluates to NULL.
+        assert!(db.execute("UPDATE t SET v = 10 / (id - 2)").is_err());
+        assert_eq!(table_digest(&db), before, "indexed: {indexed}");
+        // The table still takes a statement that succeeds.
+        assert_eq!(
+            db.execute("UPDATE t SET v = v + 1 WHERE id >= 2")
+                .unwrap()
+                .affected(),
+            Some(2)
+        );
+    }
+}
+
 #[test]
 fn drop_table() {
     let db = db_with_users();

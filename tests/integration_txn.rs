@@ -194,6 +194,45 @@ fn statement_error_auto_aborts_with_structured_error() {
     assert_eq!(rows_of(&db, "t"), before);
 }
 
+/// A schema violation inside a transaction fails the statement that
+/// stages it — not the later COMMIT — so the transaction aborts before
+/// anything reaches the heap, and COMMIT reports the abort.
+#[test]
+fn schema_violation_aborts_txn_at_the_statement() {
+    for bad in [
+        "INSERT INTO t VALUES (2, NULL)",
+        "UPDATE t SET v = NULL WHERE id = 1",
+    ] {
+        let db = Database::new();
+        db.execute("CREATE TABLE t (id INT, v INT NOT NULL)")
+            .unwrap();
+        db.execute("INSERT INTO t VALUES (0, 0)").unwrap();
+        let before = rows_of(&db, "t");
+        let mut s = SessionContext::new();
+        db.execute_in_session(&mut s, "BEGIN").unwrap();
+        db.execute_in_session(&mut s, "INSERT INTO t VALUES (1, 1)")
+            .unwrap();
+        let open_id = s.txn_id().unwrap();
+        match db.execute_in_session(&mut s, bad).unwrap_err() {
+            CoreError::TxnAborted { txn, message } => {
+                assert_eq!(txn, open_id);
+                assert!(message.contains("null"), "{bad}: {message}");
+            }
+            other => panic!("{bad}: expected TxnAborted, got {other:?}"),
+        }
+        assert_eq!(s.txn_state(), Some("aborted"));
+        let err = db.execute_in_session(&mut s, "COMMIT").unwrap_err();
+        assert!(
+            matches!(err, CoreError::TxnAborted { txn, .. } if txn == open_id),
+            "{bad}: {err:?}"
+        );
+        assert!(!s.in_txn());
+        assert_eq!(rows_of(&db, "t"), before, "{bad}");
+        assert_eq!(metric(&db, "txn.commits"), 0);
+        assert_eq!(metric(&db, "txn.aborts"), 1);
+    }
+}
+
 #[test]
 fn ddl_and_predict_refused_inside_txn() {
     let db = seeded_db();

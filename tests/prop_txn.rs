@@ -33,7 +33,8 @@ fn rows_of(db: &Database) -> Vec<String> {
 
 fn seeded_db(indexed: bool) -> Database {
     let db = Database::new();
-    db.execute("CREATE TABLE t (id INT, val INT)").unwrap();
+    db.execute("CREATE TABLE t (id INT, val INT NOT NULL)")
+        .unwrap();
     db.execute("INSERT INTO t VALUES (1, 10), (2, 20), (3, 30), (4, 40), (5, 50), (6, 60)")
         .unwrap();
     if indexed {
@@ -46,9 +47,12 @@ fn seeded_db(indexed: bool) -> Database {
 /// scalars feeding the statement. Updates and deletes only ever target
 /// the seeded id range 1..=6; inserts draw fresh ids from a counter
 /// starting at 100, so predicates and fresh rows never interact and the
-/// serial reference stays exact even under insert/predicate races.
+/// serial reference stays exact even under insert/predicate races. The
+/// last action is a two-row INSERT whose second row violates `val`'s
+/// NOT NULL: it must abort its transaction at the statement, before
+/// anything is applied.
 fn step_sql(action: u8, k: i64, v: i64, next_id: &mut i64) -> String {
-    match action % 5 {
+    match action % 6 {
         0 => format!(
             "UPDATE t SET val = val + {} WHERE id = {}",
             (v % 7) + 1,
@@ -61,7 +65,12 @@ fn step_sql(action: u8, k: i64, v: i64, next_id: &mut i64) -> String {
             format!("INSERT INTO t VALUES ({id}, {v})")
         }
         3 => "COMMIT".to_string(),
-        _ => "ROLLBACK".to_string(),
+        4 => "ROLLBACK".to_string(),
+        _ => {
+            let id = *next_id;
+            *next_id += 2;
+            format!("INSERT INTO t VALUES ({id}, {v}), ({}, NULL)", id + 1)
+        }
     }
 }
 
@@ -91,8 +100,9 @@ fn run_schedule(steps: &[(usize, u8, i64, i64)], indexed: bool) -> (Vec<String>,
             },
             Err(CoreError::TxnAborted { .. }) => {
                 // Statement or commit hit a concurrency-control
-                // conflict; the transaction's effects are gone. Clear
-                // the failed state so the session can keep going.
+                // conflict or a schema violation; the transaction's
+                // effects are gone. Clear the failed state so the
+                // session can keep going.
                 pending[s].clear();
                 if sessions[s].in_txn() {
                     db.execute_in_session(&mut sessions[s], "ROLLBACK").unwrap();
@@ -131,7 +141,7 @@ proptest! {
     #[test]
     fn interleaved_txns_match_serial_commit_order(
         steps in prop::collection::vec(
-            (0usize..SESSIONS, 0u8..5, 0i64..64, 0i64..64),
+            (0usize..SESSIONS, 0u8..6, 0i64..64, 0i64..64),
             4..40,
         )
     ) {
