@@ -1186,9 +1186,10 @@ impl Database {
         // the common case — must not serialize concurrent sessions.
         if s.from.len() >= 3 && self.join_optimizer.lock().is_some() {
             // Warm the per-table statistics caches *outside* the lock so
-            // a post-write stats rebuild (a full scan per table) is not
-            // serialized; under the lock the planner then gets cached
-            // `Arc`s and only the choose_plan call itself is exclusive.
+            // a stats build (a full scan per table, on first use or past
+            // the rebuild threshold) is not serialized; under the lock the
+            // planner then gets cached `Arc`s and only the choose_plan call
+            // itself is exclusive.
             for (_, t) in &resolved {
                 let _ = t.stats();
             }

@@ -517,9 +517,9 @@ struct ScanInfo {
     table: Arc<Table>,
     env: Bindings,
     predicates: Vec<Expr>,
-    /// Populated only for multi-table queries: single-table plans never
-    /// pay a statistics rebuild (an O(table) scan after any write) for an
-    /// estimate that is cosmetic there.
+    /// Always built for multi-table queries. Single-table plans take the
+    /// cache only (writes keep it current) and never pay a build (an
+    /// O(table) scan) for an estimate that is cosmetic there.
     stats: Option<Arc<TableStats>>,
     est_rows: f64,
     /// Indexed access path, when one wins over the sequential sweep.
@@ -567,8 +567,9 @@ pub(crate) fn plan_select_overlaid(
     }
 
     // 1. Scans with predicate pushdown and cardinality estimates. Column
-    //    statistics (which rebuild with a full scan after writes) are
-    //    fetched only when a join graph will consume them.
+    //    statistics are built (a full scan, on first use or once writes
+    //    pass the table's rebuild threshold) only when a join graph will
+    //    consume them; otherwise the write-maintained cache is used.
     let need_stats = tables.len() >= 2;
     let mut scans: Vec<ScanInfo> = Vec::with_capacity(tables.len());
     for (i, (binding, table)) in tables.iter().enumerate() {
@@ -580,7 +581,7 @@ pub(crate) fn plan_select_overlaid(
                 Some(table.stats()?)
             } else {
                 // Cosmetic estimate only: take the cache if it is warm,
-                // never pay a rebuild (a full scan) for it.
+                // never pay a build (a full scan) for it.
                 table.cached_stats()
             },
             table: table.clone(),

@@ -6,12 +6,23 @@
 //! 2. the learned query optimizer's *system condition* vector ("data
 //!    statistics representing each attribute's distribution", Fig. 5), plus
 //!    the monitor's data-drift detector (histogram divergence).
+//!
+//! Statistics are built once from a full scan ([`TableStats::build`]) and
+//! then kept current by per-row deltas ([`TableStats::note_insert`] /
+//! [`TableStats::note_delete`]): row, null and histogram counts stay
+//! exact, while bucket boundaries, distinct counts and the MCV set age
+//! until the owner rebuilds (see `Table::stats`).
 
+use crate::tuple::Tuple;
 use crate::value::Value;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 /// Number of buckets used by default histograms.
 pub const DEFAULT_BUCKETS: usize = 16;
+
+/// Most-common values kept per column.
+const MCV_SLOTS: usize = 8;
 
 /// An equi-depth histogram over the numeric view of a column.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,6 +75,44 @@ impl Histogram {
 
     pub fn num_buckets(&self) -> usize {
         self.counts.len()
+    }
+
+    /// Count one more value `x` (finite) in the bucket that holds it; a
+    /// value outside `[min, max]` widens the range and its outer bucket.
+    fn add(&mut self, x: f64) {
+        let last = self.counts.len() - 1;
+        let i = if x < self.min {
+            self.min = x;
+            self.bounds[0] = x;
+            0
+        } else if x > self.max {
+            self.max = x;
+            self.bounds[last + 1] = x;
+            last
+        } else {
+            self.bounds[1..].partition_point(|b| *b < x)
+        };
+        self.counts[i] += 1;
+        self.total += 1;
+    }
+
+    /// Count one value `x` fewer. `false` when no bucket that can hold
+    /// `x` has a row left to give up (the counts no longer describe the
+    /// data).
+    fn remove(&mut self, x: f64) -> bool {
+        if !(self.min..=self.max).contains(&x) {
+            return false;
+        }
+        let first = self.bounds[1..].partition_point(|b| *b < x);
+        let Some(i) = (first..self.counts.len())
+            .take_while(|&i| self.bounds[i] <= x)
+            .find(|&i| self.counts[i] > 0)
+        else {
+            return false;
+        };
+        self.counts[i] -= 1;
+        self.total -= 1;
+        true
     }
 
     /// Estimated fraction of rows with value <= `x` (CDF), assuming uniform
@@ -141,9 +190,23 @@ pub struct ColumnStats {
     pub distinct: u64,
     pub null_count: u64,
     pub row_count: u64,
-    /// Most common values with frequencies (top-8), for equality estimates
-    /// on skewed/categorical columns.
+    /// Most common values with frequencies (top `MCV_SLOTS` = 8), for
+    /// equality estimates on skewed/categorical columns.
     pub mcv: Vec<(Value, u64)>,
+    /// Every non-null value was distinct at build time (a key column).
+    /// Deltas keep such a column all-distinct: each inserted value adds
+    /// one to `distinct`, each deleted one takes one away.
+    pub unique: bool,
+}
+
+/// The histogram's view of a value: finite numerics only.
+fn numeric(v: &Value) -> Option<f64> {
+    v.as_f64().filter(|x| x.is_finite())
+}
+
+/// MCV order: higher count first, then the smaller value.
+fn mcv_order(a: &(Value, u64), b: &(Value, u64)) -> Ordering {
+    b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0))
 }
 
 impl ColumnStats {
@@ -156,10 +219,17 @@ impl ColumnStats {
             *freq.entry(v.clone()).or_insert(0) += 1;
         }
         let distinct = freq.len() as u64;
-        let mut mcv: Vec<(Value, u64)> = freq.into_iter().collect();
-        mcv.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        mcv.truncate(8);
-        let numeric: Vec<f64> = values.iter().filter_map(|v| v.as_f64()).collect();
+        // Bounded top-k: the MCV list never holds more than its slots, so
+        // a key column does not keep one entry per row alive.
+        let mut mcv: Vec<(Value, u64)> = Vec::with_capacity(MCV_SLOTS);
+        for entry in freq {
+            let at = mcv.partition_point(|e| mcv_order(e, &entry) == Ordering::Less);
+            if at < MCV_SLOTS {
+                mcv.truncate(MCV_SLOTS - 1);
+                mcv.insert(at, entry);
+            }
+        }
+        let numeric: Vec<f64> = values.iter().filter_map(numeric).collect();
         let histogram = Histogram::build(numeric, buckets);
         ColumnStats {
             histogram,
@@ -167,6 +237,65 @@ impl ColumnStats {
             null_count,
             row_count,
             mcv,
+            unique: distinct == row_count - null_count,
+        }
+    }
+
+    /// Apply one inserted value. `false` when the delta cannot express it
+    /// (a numeric value in a column built without a histogram); the
+    /// caller then discards these stats.
+    #[must_use]
+    pub fn note_insert(&mut self, v: &Value) -> bool {
+        self.row_count += 1;
+        if v.is_null() {
+            self.null_count += 1;
+            return true;
+        }
+        if let Some(slot) = self.mcv.iter_mut().find(|(m, _)| m == v) {
+            slot.1 += 1;
+        }
+        let outside = match (numeric(v), &mut self.histogram) {
+            (Some(x), Some(h)) => {
+                let outside = x < h.min || x > h.max;
+                h.add(x);
+                outside
+            }
+            (Some(_), None) => return false,
+            (None, _) => false,
+        };
+        if self.unique || outside {
+            self.distinct += 1;
+        }
+        true
+    }
+
+    /// Apply one deleted value (which these stats counted). `false` when
+    /// the delta cannot express it; the caller then discards these stats.
+    #[must_use]
+    pub fn note_delete(&mut self, v: &Value) -> bool {
+        let Some(rows) = self.row_count.checked_sub(1) else {
+            return false;
+        };
+        self.row_count = rows;
+        if v.is_null() {
+            return match self.null_count.checked_sub(1) {
+                Some(n) => {
+                    self.null_count = n;
+                    true
+                }
+                None => false,
+            };
+        }
+        if let Some(slot) = self.mcv.iter_mut().find(|(m, _)| m == v) {
+            slot.1 = slot.1.saturating_sub(1);
+        }
+        if self.unique {
+            self.distinct = self.distinct.saturating_sub(1);
+        }
+        match (numeric(v), &mut self.histogram) {
+            (Some(x), Some(h)) => h.remove(x),
+            (Some(_), None) => false,
+            (None, _) => true,
         }
     }
 
@@ -218,6 +347,31 @@ impl TableStats {
                 .map(|c| ColumnStats::build(c, DEFAULT_BUCKETS))
                 .collect(),
         }
+    }
+
+    /// Apply an inserted row (an update is a delete of the old row then
+    /// an insert of the new one). `false` when some column's delta
+    /// cannot express it; the caller then discards these stats.
+    #[must_use]
+    pub fn note_insert(&mut self, row: &Tuple) -> bool {
+        self.row_count += 1;
+        self.columns
+            .iter_mut()
+            .zip(&row.values)
+            .all(|(c, v)| c.note_insert(v))
+    }
+
+    /// Apply a deleted row; see [`TableStats::note_insert`].
+    #[must_use]
+    pub fn note_delete(&mut self, row: &Tuple) -> bool {
+        let Some(rows) = self.row_count.checked_sub(1) else {
+            return false;
+        };
+        self.row_count = rows;
+        self.columns
+            .iter_mut()
+            .zip(&row.values)
+            .all(|(c, v)| c.note_delete(v))
     }
 
     /// Flattened feature vector describing the data distribution, consumed
@@ -334,6 +488,100 @@ mod tests {
     fn empty_histogram_is_none() {
         assert!(Histogram::build(vec![], 8).is_none());
         assert!(Histogram::build(vec![f64::NAN], 8).is_none());
+    }
+
+    #[test]
+    fn mcv_keeps_only_its_slots() {
+        let keys: Vec<Value> = (0..10_000).map(Value::Int).collect();
+        let s = ColumnStats::build(&keys, 8);
+        assert!(s.mcv.capacity() <= MCV_SLOTS, "{}", s.mcv.capacity());
+        assert_eq!(
+            s.mcv,
+            (0..8).map(|i| (Value::Int(i), 1)).collect::<Vec<_>>()
+        );
+        // Skewed: value i appears i times; the top slots are 29, 28, ...
+        let skewed: Vec<Value> = (0..30)
+            .flat_map(|i| std::iter::repeat_n(Value::Int(i), i as usize))
+            .collect();
+        let s = ColumnStats::build(&skewed, 8);
+        let want: Vec<(Value, u64)> = (22..30).rev().map(|i| (Value::Int(i), i as u64)).collect();
+        assert_eq!(s.mcv, want);
+    }
+
+    #[test]
+    fn deltas_keep_counts_exact() {
+        let mut vals: Vec<Value> = (0..200).map(|i| Value::Int(i % 20)).collect();
+        vals.extend(std::iter::repeat_n(Value::Null, 10));
+        let mut s = ColumnStats::build(&vals, 8);
+        for v in [Value::Int(3), Value::Null, Value::Int(3), Value::Int(7)] {
+            assert!(s.note_insert(&v));
+            vals.push(v);
+        }
+        for v in [Value::Int(5), Value::Null] {
+            assert!(s.note_delete(&v));
+            let at = vals.iter().position(|x| *x == v).unwrap();
+            vals.swap_remove(at);
+        }
+        let fresh = ColumnStats::build(&vals, 8);
+        assert_eq!(s.row_count, fresh.row_count);
+        assert_eq!(s.null_count, fresh.null_count);
+        assert_eq!(s.distinct, fresh.distinct);
+        let (h, fh) = (s.histogram.unwrap(), fresh.histogram.unwrap());
+        assert_eq!(h.total, fh.total);
+        assert_eq!(h.counts.iter().sum::<u64>(), h.total);
+        let count =
+            |m: &[(Value, u64)], v: i64| m.iter().find(|e| e.0 == Value::Int(v)).map(|e| e.1);
+        assert_eq!(count(&s.mcv, 3), Some(12));
+        assert_eq!(count(&fresh.mcv, 3), Some(12));
+    }
+
+    #[test]
+    fn insert_outside_range_widens_and_counts_distinct() {
+        let vals: Vec<Value> = (0..100).map(|i| Value::Int(i % 10)).collect();
+        let mut s = ColumnStats::build(&vals, 4);
+        assert!(!s.unique);
+        assert!(s.note_insert(&Value::Int(4)));
+        assert_eq!(s.distinct, 10, "an in-range value keeps the built count");
+        assert!(s.note_insert(&Value::Int(-5)));
+        assert!(s.note_insert(&Value::Int(50)));
+        assert_eq!(s.distinct, 12);
+        let h = s.histogram.as_ref().unwrap();
+        assert_eq!((h.min, h.max), (-5.0, 50.0));
+        assert_eq!((h.bounds[0], *h.bounds.last().unwrap()), (-5.0, 50.0));
+        assert_eq!(h.total, 103);
+        assert!(s.range_selectivity(Some(45.0), None) > 0.0);
+    }
+
+    #[test]
+    fn key_column_stays_all_distinct() {
+        let keys: Vec<Value> = (0..100).map(Value::Int).collect();
+        let mut s = ColumnStats::build(&keys, 4);
+        assert!(s.unique);
+        assert!(s.note_insert(&Value::Int(50)));
+        assert!(s.note_delete(&Value::Int(7)));
+        assert!(s.note_delete(&Value::Int(8)));
+        assert_eq!(s.distinct, 99);
+        assert_eq!(s.row_count, 99);
+    }
+
+    #[test]
+    fn deltas_give_up_where_they_cannot_express_the_write() {
+        // A numeric value in a column built without a histogram.
+        let mut s = ColumnStats::build(&[Value::Null, Value::Null], 4);
+        assert!(s.histogram.is_none());
+        assert!(!s.note_insert(&Value::Int(1)));
+        // Deleting a value the stats never counted.
+        let mut s = ColumnStats::build(&[Value::Int(1), Value::Int(2)], 4);
+        assert!(!s.note_delete(&Value::Int(9)));
+        let mut s = ColumnStats::build(&[Value::Int(1)], 4);
+        assert!(!s.note_delete(&Value::Null));
+        // A whole row: the failing column decides.
+        let mut t = TableStats::build(&[vec![Value::Int(1)], vec![Value::Null]]);
+        assert!(!t.note_insert(&Tuple::new(vec![Value::Int(2), Value::Float(1.0)])));
+        let mut t = TableStats::build(&[vec![Value::Int(1)], vec![Value::Null]]);
+        assert!(t.note_insert(&Tuple::new(vec![Value::Int(2), Value::Null])));
+        assert!(t.note_delete(&Tuple::new(vec![Value::Int(1), Value::Null])));
+        assert_eq!(t.row_count, 1);
     }
 
     #[test]

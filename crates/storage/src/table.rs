@@ -13,13 +13,68 @@ use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
 
+/// Scan batch size of a statistics build.
+const STATS_BUILD_BATCH: usize = 4096;
+
 /// A table: heap storage plus optional per-column B-tree indexes.
 pub struct Table {
     pub name: String,
     pub schema: Schema,
     heap: HeapFile,
     indexes: RwLock<HashMap<usize, BTreeIndex>>,
-    stats: RwLock<Option<Arc<TableStats>>>,
+    stats: RwLock<StatsCache>,
+}
+
+/// The cached statistics and the write accounting that decides when they
+/// are rebuilt. Writes apply a delta to the cached stats; a full build
+/// runs on first use and again once the rows changed since the last
+/// build exceed PostgreSQL's auto-analyze rule (50 + 10% of the rows the
+/// build saw).
+#[derive(Default)]
+struct StatsCache {
+    stats: Option<Arc<TableStats>>,
+    /// Rows written since `stats` was built.
+    changed: u64,
+    /// Rows that may change before `stats` is dropped for a rebuild.
+    limit: u64,
+    /// Bumped when a row write starts and again when it ends. A build
+    /// installs its result only if this did not move while it scanned
+    /// and no write is in flight: its scan may have missed a write, or
+    /// seen a row whose delta is still to come.
+    generation: u64,
+    /// Row writes between `start_write` and `finish_write`.
+    writing: u64,
+}
+
+impl StatsCache {
+    /// A row write is about to change the heap.
+    fn start_write(&mut self) {
+        self.generation += 1;
+        self.writing += 1;
+    }
+
+    /// The row write changed the heap from `old` to `new` (both `None`
+    /// when it failed): apply its delta to the cached stats (if any), or
+    /// drop them once the changed rows pass the limit or the delta
+    /// cannot express the write.
+    fn finish_write(&mut self, old: Option<&Tuple>, new: Option<&Tuple>) {
+        self.generation += 1;
+        self.writing -= 1;
+        if old.is_none() && new.is_none() {
+            return;
+        }
+        let Some(stats) = self.stats.as_mut() else {
+            return;
+        };
+        self.changed += 1;
+        let kept = self.changed <= self.limit && {
+            let stats = Arc::make_mut(stats);
+            old.is_none_or(|t| stats.note_delete(t)) && new.is_none_or(|t| stats.note_insert(t))
+        };
+        if !kept {
+            self.stats = None;
+        }
+    }
 }
 
 impl Table {
@@ -30,7 +85,7 @@ impl Table {
             schema,
             heap: HeapFile::new(pool, types),
             indexes: RwLock::new(HashMap::new()),
-            stats: RwLock::new(None),
+            stats: RwLock::new(StatsCache::default()),
         }
     }
 
@@ -49,7 +104,7 @@ impl Table {
             schema,
             heap: HeapFile::with_pages(pool, types, pages),
             indexes: RwLock::new(HashMap::new()),
-            stats: RwLock::new(None),
+            stats: RwLock::new(StatsCache::default()),
         }
     }
 
@@ -121,13 +176,13 @@ impl Table {
 
     pub fn insert(&self, tuple: Tuple) -> StorageResult<RecordId> {
         self.validate(&tuple)?;
-        let rid = self.heap.insert(&tuple)?;
-        let mut indexes = self.indexes.write();
-        for (col, idx) in indexes.iter_mut() {
-            idx.insert(tuple.get(*col).clone(), rid);
-        }
-        self.invalidate_stats();
-        Ok(rid)
+        self.write_row(None, Some(&tuple), || {
+            let rid = self.heap.insert(&tuple)?;
+            for (col, idx) in self.indexes.write().iter_mut() {
+                idx.insert(tuple.get(*col).clone(), rid);
+            }
+            Ok(rid)
+        })
     }
 
     pub fn get(&self, rid: RecordId) -> StorageResult<Tuple> {
@@ -137,28 +192,46 @@ impl Table {
     pub fn update(&self, rid: RecordId, tuple: Tuple) -> StorageResult<()> {
         self.validate(&tuple)?;
         let old = self.heap.get(rid)?;
-        self.heap.update(rid, &tuple)?;
-        let mut indexes = self.indexes.write();
-        for (col, idx) in indexes.iter_mut() {
-            let (ov, nv) = (old.get(*col), tuple.get(*col));
-            if ov != nv {
-                idx.remove(ov, rid);
-                idx.insert(nv.clone(), rid);
+        self.write_row(Some(&old), Some(&tuple), || {
+            self.heap.update(rid, &tuple)?;
+            for (col, idx) in self.indexes.write().iter_mut() {
+                let (ov, nv) = (old.get(*col), tuple.get(*col));
+                if ov != nv {
+                    idx.remove(ov, rid);
+                    idx.insert(nv.clone(), rid);
+                }
             }
-        }
-        self.invalidate_stats();
-        Ok(())
+            Ok(())
+        })
     }
 
     pub fn delete(&self, rid: RecordId) -> StorageResult<()> {
         let old = self.heap.get(rid)?;
-        self.heap.delete(rid)?;
-        let mut indexes = self.indexes.write();
-        for (col, idx) in indexes.iter_mut() {
-            idx.remove(old.get(*col), rid);
-        }
-        self.invalidate_stats();
-        Ok(())
+        self.write_row(Some(&old), None, || {
+            self.heap.delete(rid)?;
+            for (col, idx) in self.indexes.write().iter_mut() {
+                idx.remove(old.get(*col), rid);
+            }
+            Ok(())
+        })
+    }
+
+    /// Run one row write (`old` → `new`) on the heap and indexes,
+    /// bracketed for the statistics cache: no build installs while it
+    /// runs, and the cached stats take its delta once it succeeded.
+    fn write_row<T>(
+        &self,
+        old: Option<&Tuple>,
+        new: Option<&Tuple>,
+        write: impl FnOnce() -> StorageResult<T>,
+    ) -> StorageResult<T> {
+        self.stats.write().start_write();
+        let result = write();
+        let done = result.is_ok();
+        self.stats
+            .write()
+            .finish_write(old.filter(|_| done), new.filter(|_| done));
+        result
     }
 
     pub fn scan(&self) -> StorageResult<Vec<(RecordId, Tuple)>> {
@@ -263,33 +336,49 @@ impl Table {
         self.heap.num_pages()
     }
 
-    fn invalidate_stats(&self) {
-        *self.stats.write() = None;
-    }
-
-    /// The cached statistics, if still valid (no rebuild). Planners use
-    /// this on paths where an estimate is cosmetic and a post-write
-    /// rebuild (a full scan) would not pay for itself.
+    /// The cached statistics, if any (never builds). Writes keep them
+    /// current, so they are missing only before the first build and
+    /// after a write that passed the rebuild threshold or that the delta
+    /// could not express. Planners use this on paths where an estimate
+    /// is cosmetic and a build (a full scan) would not pay for itself.
     pub fn cached_stats(&self) -> Option<Arc<TableStats>> {
-        self.stats.read().clone()
+        self.stats.read().stats.clone()
     }
 
-    /// Table statistics, recomputed lazily after mutations.
+    /// Table statistics: the cached ones (kept current by each write's
+    /// delta), or a full build from a scan when none are cached. A
+    /// build that raced a write returns its result without caching it.
     pub fn stats(&self) -> StorageResult<Arc<TableStats>> {
-        if let Some(s) = self.stats.read().clone() {
-            return Ok(s);
+        let generation = {
+            let cache = self.stats.read();
+            if let Some(s) = &cache.stats {
+                return Ok(s.clone());
+            }
+            cache.generation
+        };
+        let stats = Arc::new(TableStats::build(&self.column_values()?));
+        let mut cache = self.stats.write();
+        if cache.generation == generation && cache.writing == 0 {
+            cache.stats = Some(stats.clone());
+            cache.changed = 0;
+            cache.limit = 50 + stats.row_count / 10;
         }
-        let rows = self.scan()?;
-        let arity = self.schema.arity();
-        let mut cols: Vec<Vec<Value>> = vec![Vec::with_capacity(rows.len()); arity];
-        for (_, t) in &rows {
-            for (i, v) in t.values.iter().enumerate() {
-                cols[i].push(v.clone());
+        Ok(stats)
+    }
+
+    /// Every live row's values, column-major, moved out of the scanned
+    /// tuples batch by batch (the statistics build's input).
+    fn column_values(&self) -> StorageResult<Vec<Vec<Value>>> {
+        let mut cols: Vec<Vec<Value>> = vec![Vec::new(); self.schema.arity()];
+        let mut scan = self.scan_batches(STATS_BUILD_BATCH);
+        while let Some(batch) = scan.next_batch()? {
+            for (_, t) in batch {
+                for (col, v) in cols.iter_mut().zip(t.values) {
+                    col.push(v);
+                }
             }
         }
-        let stats = Arc::new(TableStats::build(&cols));
-        *self.stats.write() = Some(stats.clone());
-        Ok(stats)
+        Ok(cols)
     }
 }
 
@@ -382,6 +471,53 @@ mod tests {
         t.insert(row(100, "y", 1.0)).unwrap();
         let s3 = t.stats().unwrap();
         assert_eq!(s3.row_count, 101);
+    }
+
+    #[test]
+    fn writes_keep_stats_warm_until_the_threshold() {
+        let t = make_table();
+        for i in 0..100 {
+            t.insert(row(i, "x", i as f64)).unwrap();
+        }
+        t.stats().unwrap();
+        // 50 + 10% of 100 rows may change before a rebuild.
+        let rid = t.insert(row(100, "y", 500.0)).unwrap();
+        t.update(rid, row(101, "y", 5.0)).unwrap();
+        t.delete(rid).unwrap();
+        for i in 0..57 {
+            t.insert(row(200 + i, "z", -1.0)).unwrap();
+        }
+        let s = t
+            .cached_stats()
+            .expect("60 changed rows stay under the threshold");
+        assert_eq!(s.row_count, 157);
+        assert_eq!(s.columns[2].histogram.as_ref().unwrap().min, -1.0);
+        t.insert(row(300, "z", 0.0)).unwrap();
+        assert!(t.cached_stats().is_none(), "61 changed rows rebuild");
+        assert_eq!(t.stats().unwrap().row_count, 158);
+    }
+
+    #[test]
+    fn stats_build_racing_writes_is_not_cached() {
+        let t = Arc::new(make_table());
+        for i in 0..2000 {
+            t.insert(row(i, "x", i as f64)).unwrap();
+        }
+        let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let writer = {
+            let (t, done) = (t.clone(), done.clone());
+            std::thread::spawn(move || {
+                for i in 2000..3000 {
+                    t.insert(row(i, "y", i as f64)).unwrap();
+                }
+                done.store(true, std::sync::atomic::Ordering::Release);
+            })
+        };
+        while !done.load(std::sync::atomic::Ordering::Acquire) {
+            t.stats().unwrap();
+        }
+        writer.join().unwrap();
+        assert_eq!(t.stats().unwrap().row_count as usize, t.len().unwrap());
     }
 
     #[test]
