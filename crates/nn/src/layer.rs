@@ -91,7 +91,9 @@ impl Layer for Linear {
         let input = self.input.as_ref().expect("backward before forward");
         // dW = x^T g ; db = column sums of g ; dx = g W^T
         let gw = input.t_matmul(grad_out);
-        self.gw = self.gw.add(&gw);
+        for (a, b) in self.gw.data.iter_mut().zip(gw.data) {
+            *a += b;
+        }
         for (a, b) in self.gb.iter_mut().zip(grad_out.sum_rows()) {
             *a += b;
         }
@@ -243,30 +245,40 @@ impl Layer for Embedding {
     }
 }
 
+/// An elementwise activation. `$bwd` gives the derivative from the
+/// forward *output*, which the layer caches, so backward never evaluates
+/// the activation again.
 macro_rules! stateless_activation {
     ($name:ident, $fwd:expr, $bwd:expr, $desc:expr) => {
         /// Stateless activation layer.
         #[derive(Default)]
         pub struct $name {
-            input: Option<Matrix>,
+            output: Option<Matrix>,
         }
 
         impl $name {
             pub fn new() -> Self {
-                Self { input: None }
+                Self { output: None }
             }
         }
 
         impl Layer for $name {
             fn forward(&mut self, input: &Matrix) -> Matrix {
-                self.input = Some(input.clone());
-                input.map($fwd)
+                let output = input.map($fwd);
+                self.output = Some(output.clone());
+                output
             }
 
             fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-                let input = self.input.as_ref().expect("backward before forward");
-                let deriv = input.map($bwd);
-                grad_out.hadamard(&deriv)
+                let output = self.output.as_ref().expect("backward before forward");
+                assert_eq!((grad_out.rows, grad_out.cols), (output.rows, output.cols));
+                let data = grad_out
+                    .data
+                    .iter()
+                    .zip(&output.data)
+                    .map(|(g, &y)| g * $bwd(y))
+                    .collect();
+                Matrix::from_vec(output.rows, output.cols, data)
             }
 
             fn params(&mut self) -> Vec<&mut [f32]> {
@@ -290,27 +302,22 @@ macro_rules! stateless_activation {
     };
 }
 
+// Each derivative gives the same bits as the one taken from the input:
+// `y > 0` iff `x > 0` for ReLU, and `s`/`y` is exactly the value the
+// input formula recomputed.
 stateless_activation!(
     Relu,
     |x| if x > 0.0 { x } else { 0.0 },
-    |x| if x > 0.0 { 1.0 } else { 0.0 },
+    |y: f32| if y > 0.0 { 1.0 } else { 0.0 },
     "relu"
 );
 stateless_activation!(
     Sigmoid,
     |x: f32| 1.0 / (1.0 + (-x).exp()),
-    |x: f32| {
-        let s = 1.0 / (1.0 + (-x).exp());
-        s * (1.0 - s)
-    },
+    |s: f32| s * (1.0 - s),
     "sigmoid"
 );
-stateless_activation!(
-    Tanh,
-    |x: f32| x.tanh(),
-    |x: f32| 1.0 - x.tanh().powi(2),
-    "tanh"
-);
+stateless_activation!(Tanh, |x: f32| x.tanh(), |y: f32| 1.0 - y.powi(2), "tanh");
 
 /// Layer normalization over the feature dimension, with learned gain/bias.
 pub struct LayerNorm {

@@ -190,23 +190,31 @@ impl Model {
     }
 
     pub fn forward(&mut self, input: &Matrix) -> Matrix {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return input.clone();
+        };
+        let mut x = first.forward(input);
+        for layer in rest {
             x = layer.forward(&x);
         }
         x
     }
 
-    /// Backward through all layers; gradients accumulate in each layer.
-    pub fn backward(&mut self, grad_out: &Matrix) {
-        let mut g = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
+    /// Backward through layers `from..`, last to first; gradients
+    /// accumulate in each of them. Layers before `from` get no gradient,
+    /// which is all a frozen prefix needs. `from = 0` is full backprop.
+    pub fn backward(&mut self, from: usize, grad_out: &Matrix) {
+        let mut layers = self.layers[from..].iter_mut().rev();
+        let Some(last) = layers.next() else { return };
+        let mut g = last.backward(grad_out);
+        for layer in layers {
             g = layer.backward(&g);
         }
     }
 
-    pub fn zero_grad(&mut self) {
-        for layer in &mut self.layers {
+    /// Zero the gradients of layers `from..`.
+    pub fn zero_grad(&mut self, from: usize) {
+        for layer in &mut self.layers[from..] {
             layer.zero_grad();
         }
     }
@@ -288,7 +296,9 @@ impl Trainer {
     }
 
     /// One SGD step on a batch. For [`LossKind::CrossEntropy`], `target`
-    /// column 0 holds class indexes. Returns the loss.
+    /// column 0 holds class indexes. Returns the loss. The whole stack runs
+    /// forward, but only the unfrozen layers run backward: a fine-tune pays
+    /// for the layers it trains.
     pub fn train_batch(&mut self, input: &Matrix, target: &Matrix) -> f32 {
         let pred = self.model.forward(input);
         let (loss, grad) = match self.loss {
@@ -301,9 +311,9 @@ impl Trainer {
                 softmax_cross_entropy(&pred, &labels)
             }
         };
-        self.model.zero_grad();
-        self.model.backward(&grad);
         let from = self.frozen_prefix;
+        self.model.zero_grad(from);
+        self.model.backward(from, &grad);
         // `params_from` and `grads_from` both borrow the model mutably, so
         // snapshot the gradients into owned buffers first.
         let mut grads_owned: Vec<Vec<f32>> = self

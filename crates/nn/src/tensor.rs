@@ -77,9 +77,21 @@ impl Matrix {
     }
 
     /// `self @ other` — naive ikj matmul (cache-friendly inner loop).
+    ///
+    /// Each output sums its nonzero `self[i][k] * other[k][j]` terms in
+    /// `k` order from zero. The kernels below keep that order, so their
+    /// results do not depend on which loop nest computes them.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.rows, "matmul shape mismatch");
         let mut out = Matrix::zeros(self.rows, other.cols);
+        if other.cols == 1 {
+            // A one-column right-hand side leaves the ikj inner loop one
+            // element long; take each output as a dot product instead.
+            for (i, o) in out.data.iter_mut().enumerate() {
+                *o = dot_skipping_zeros(self.row(i), &other.data);
+            }
+            return out;
+        }
         for i in 0..self.rows {
             for k in 0..self.cols {
                 let a = self.get(i, k);
@@ -100,6 +112,17 @@ impl Matrix {
     pub fn t_matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.rows, other.rows, "t_matmul shape mismatch");
         let mut out = Matrix::zeros(self.cols, other.cols);
+        if other.cols == 1 {
+            // One output column: run the inner loop along the output
+            // instead of along that single column. Adding `0.0` for a
+            // zero `a` gives the skip's bits (see `dot_skipping_zeros`).
+            for (r, &b) in other.data.iter().enumerate() {
+                for (o, &a) in out.data.iter_mut().zip(self.row(r)) {
+                    *o += if a == 0.0 { 0.0 } else { a * b };
+                }
+            }
+            return out;
+        }
         for r in 0..self.rows {
             let arow = self.row(r);
             let brow = other.row(r);
@@ -116,19 +139,19 @@ impl Matrix {
         out
     }
 
-    /// `self @ other^T` without materializing the transpose.
+    /// `self @ other^T`: ikj over a transposed copy of `other`, so the
+    /// inner loop runs along an output row. Unlike [`Matrix::matmul`] it
+    /// adds every term, zeros included.
     pub fn matmul_t(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.cols, "matmul_t shape mismatch");
+        let other_t = other.transpose();
         let mut out = Matrix::zeros(self.rows, other.rows);
         for i in 0..self.rows {
-            let arow = self.row(i);
-            for j in 0..other.rows {
-                let brow = other.row(j);
-                let mut s = 0.0;
-                for (a, b) in arow.iter().zip(brow.iter()) {
-                    s += a * b;
+            let out_row = out.row_mut(i);
+            for (k, &a) in self.row(i).iter().enumerate() {
+                for (o, b) in out_row.iter_mut().zip(other_t.row(k)) {
+                    *o += a * b;
                 }
-                out.set(i, j, s);
             }
         }
         out
@@ -174,21 +197,6 @@ impl Matrix {
         }
     }
 
-    pub fn hadamard(&self, other: &Matrix) -> Matrix {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        let data = self
-            .data
-            .iter()
-            .zip(other.data.iter())
-            .map(|(a, b)| a * b)
-            .collect();
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        }
-    }
-
     pub fn scale(&self, k: f32) -> Matrix {
         Matrix {
             rows: self.rows,
@@ -205,16 +213,15 @@ impl Matrix {
         }
     }
 
-    /// Add a row vector (1 × cols) to every row.
-    pub fn add_row_broadcast(&self, bias: &[f32]) -> Matrix {
+    /// Add a row vector (1 × cols) to every row, in place.
+    pub fn add_row_broadcast(mut self, bias: &[f32]) -> Matrix {
         assert_eq!(bias.len(), self.cols);
-        let mut out = self.clone();
-        for r in 0..out.rows {
-            for (o, b) in out.row_mut(r).iter_mut().zip(bias.iter()) {
+        for r in 0..self.rows {
+            for (o, b) in self.row_mut(r).iter_mut().zip(bias.iter()) {
                 *o += b;
             }
         }
-        out
+        self
     }
 
     /// Column-wise sum → length-`cols` vector (used for bias gradients).
@@ -259,6 +266,16 @@ impl Matrix {
             self.data.iter().sum::<f32>() / self.data.len() as f32
         }
     }
+}
+
+/// `sum_k a[k] * b[k]` in `k` order from zero, with the terms whose `a`
+/// is zero left out as [`Matrix::matmul`] leaves them out. Adding `0.0`
+/// instead of branching gives the same bits: the sum starts at `+0.0` and
+/// so is never `-0.0`, for which `x + 0.0 == x` would fail.
+fn dot_skipping_zeros(a: &[f32], b: &[f32]) -> f32 {
+    a.iter()
+        .zip(b)
+        .fold(0.0, |s, (&a, &b)| s + if a == 0.0 { 0.0 } else { a * b })
 }
 
 #[cfg(test)]
@@ -311,7 +328,7 @@ mod tests {
     #[test]
     fn broadcast_and_sum() {
         let m = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        let b = m.add_row_broadcast(&[10.0, 20.0]);
+        let b = m.clone().add_row_broadcast(&[10.0, 20.0]);
         assert_eq!(b.data, vec![11.0, 22.0, 13.0, 24.0]);
         assert_eq!(m.sum_rows(), vec![4.0, 6.0]);
     }
