@@ -152,10 +152,10 @@ fn bench_parallel(c: &mut Criterion) {
     g.finish();
 }
 
-/// Partitioned parallel hash join: a fan-out-worthy probe side joined
-/// to a small build side at dop=1 vs dop=4 (`SET parallelism`). dop=1
-/// runs the classic serial hash join; dop=4 hash-partitions the build
-/// side and probes it from 4 morsel workers, so the delta is the join
+/// Parallel hash join: a fan-out-worthy probe side joined to a small
+/// build side at dop=1 vs dop=4 (`SET parallelism`). dop=1 runs the
+/// classic serial hash join; dop=4 drains the build side into one shared
+/// table and probes it from 4 morsel workers, so the delta is the probe
 /// fan-out itself.
 fn bench_join_parallel(c: &mut Criterion) {
     const FACTS: usize = 40_000;
@@ -217,13 +217,13 @@ fn bench_join_parallel(c: &mut Criterion) {
     g.finish();
 }
 
-/// Repartitioning-exchange shapes at dop=1 vs dop=4: parallel build
-/// (small probe, fan-out-worthy build side), partition-wise join (both
-/// sides repartitioned, each worker joins one partition pair), and
-/// aggregation pushed into the join workers (only partial-aggregate
-/// state rows cross the output channel). dop=1 runs the serial hash
-/// join, so the delta isolates each exchange shape.
-fn bench_repartition(c: &mut Criterion) {
+/// Joins whose build side is big enough to fan out, at dop=1 vs dop=4:
+/// a small serial probe over a build side drained through its Gather, a
+/// parallel probe over such a build side, and aggregation pushed into
+/// the probe workers (only partial-aggregate state rows cross the output
+/// channel). dop=1 runs the serial hash join, so the delta is what the
+/// build side's Gather and the probe workers buy.
+fn bench_parallel_join(c: &mut Criterion) {
     const RFACTS: usize = 30_000;
     const RDIMS: usize = 6_000;
     const SPROBE: usize = 300;
@@ -263,14 +263,14 @@ fn bench_repartition(c: &mut Criterion) {
     }
     db.execute(&stmt).unwrap();
 
-    let mut g = c.benchmark_group("exec_repartition");
+    let mut g = c.benchmark_group("exec_parallel_join");
     g.sample_size(10)
         .measurement_time(Duration::from_millis(500));
     g.throughput(Throughput::Elements(RFACTS as u64));
 
     for dop in [1usize, 4] {
         db.execute(&format!("SET parallelism = {dop}")).unwrap();
-        g.bench_function(format!("build_parallel_join_dop{dop}"), |b| {
+        g.bench_function(format!("serial_probe_join_dop{dop}"), |b| {
             b.iter(|| {
                 black_box(
                     db.execute(
@@ -281,7 +281,7 @@ fn bench_repartition(c: &mut Criterion) {
                 )
             })
         });
-        g.bench_function(format!("partition_wise_join_dop{dop}"), |b| {
+        g.bench_function(format!("parallel_probe_join_dop{dop}"), |b| {
             b.iter(|| {
                 black_box(
                     db.execute(
@@ -312,6 +312,6 @@ criterion_group!(
     bench_exec,
     bench_parallel,
     bench_join_parallel,
-    bench_repartition
+    bench_parallel_join
 );
 criterion_main!(benches);

@@ -1,6 +1,7 @@
 //! Regenerate every table and figure of the NeurDB paper's evaluation
 //! (Section 5). Each subcommand prints the same series the paper plots;
-//! EXPERIMENTS.md records the paper-vs-measured comparison.
+//! ROADMAP.md's "The paper's claims" section records the
+//! paper-vs-measured comparison.
 //!
 //! ```sh
 //! cargo run --release -p neurdb-bench --bin figures -- all
@@ -263,7 +264,7 @@ fn fig7a(quick: bool) {
     let dur = Duration::from_millis(if quick { 300 } else { 2000 });
     // The paper's micro-benchmark spec gives no skew; moderate zipf(0.5)
     // reproduces its contention regime (its 1.44x gain implies SSI is not
-    // in abort collapse — see EXPERIMENTS.md).
+    // in abort collapse — see ROADMAP.md, "The paper's claims").
     let theta = 0.5;
     println!("({records} records, 5 selects + 5 updates per txn, zipfian {theta})\n");
     println!(

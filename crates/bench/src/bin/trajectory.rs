@@ -155,10 +155,11 @@ fn bench_parallel_agg(quick: bool) -> GroupResult {
     })
 }
 
-/// Grouped aggregate over a partition-wise parallel join: both sides
-/// repartition on the join key, each join worker builds and probes its
-/// own partition pair, and the partial aggregate runs inside the join
-/// workers so only aggregate state rows cross the output channel.
+/// Grouped aggregate over a parallel hash join at dop 4: the dimension
+/// side drains through its own Gather into one shared hash table, four
+/// morsel workers probe it with the fact scan, and the partial aggregate
+/// runs inside the probe workers so only aggregate state rows cross the
+/// output channel.
 fn bench_join_agg_parallel(quick: bool) -> GroupResult {
     let db = Database::new();
     seed(&db, "jfact", if quick { 10_000 } else { 60_000 });

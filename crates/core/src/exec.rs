@@ -20,23 +20,14 @@
 //! stays single-threaded, so stateful consumers (Sort, hash builds) never
 //! observe concurrency. Aggregations directly over a parallel scan are
 //! split into per-worker partial aggregates whose encoded states the
-//! Gather's consumer merges (two-phase parallel aggregation). A hash
-//! join whose probe side merits fan-out runs as a *partitioned parallel
-//! hash join* ([`PartitionedHashJoinOp`]): the build side is
-//! hash-partitioned into read-only partitions, then each worker probes
-//! them with its own morsel stream of the probe scan.
+//! Gather's consumer merges (two-phase parallel aggregation).
 //!
-//! **Repartitioning exchange** — when the planner fans out the *build*
-//! side of a join too, its rows flow through a hash-repartitioning
-//! exchange: producer workers route every row to a bounded per-partition
-//! channel by hashing the join key with the same deterministic
-//! [`partition_of`] the probe path uses. With only the build side
-//! parallel, one builder thread per partition assembles the shared
-//! partitions ([`BuildInput::Parallel`]); with *both* sides parallel the
-//! join becomes partition-wise ([`PartitionWiseHashJoinOp`]) — each join
-//! worker owns one partition pair end-to-end (local build, local probe),
-//! so nothing is shared and nothing locks. A partial aggregate sitting
-//! directly above a parallel join is pushed into the join workers
+//! **Parallel hash join** — a hash join whose probe side merits fan-out
+//! runs as [`PartitionedHashJoinOp`]: the build side drains on the
+//! consumer thread into one shared read-only hash table (through a
+//! Gather when its own scan fanned out), then each worker probes it with
+//! its own morsel stream of the probe scan. A partial aggregate sitting
+//! directly above the join is pushed into the probe workers
 //! ([`PushedAgg`]): only encoded per-group aggregate states cross the
 //! output channel instead of every joined row.
 //!
@@ -158,8 +149,8 @@ pub fn execute_plan_instrumented(
 
 type Batch = Vec<Tuple>;
 type MetricsSink = Rc<RefCell<Vec<OpMetrics>>>;
-/// One hash partition of a join build side.
-type PartitionMap = HashMap<Value, Vec<Tuple>>;
+/// A hash join's build side: every row under its (non-NULL) join key.
+type JoinTable = HashMap<Value, Vec<Tuple>>;
 
 /// A pull-based batch operator.
 trait Operator {
@@ -318,11 +309,8 @@ fn build_operator(
             // cross the exchange channel. This node's metric slot then
             // counts the state rows; the join's own slot is filled from
             // the worker reports at shutdown.
-            let fused = !in_worker
-                && matches!(
-                    input.as_ref(),
-                    PhysicalPlan::PartitionedHashJoin { probe_dop, .. } if *probe_dop > 1
-                );
+            let fused =
+                !in_worker && matches!(input.as_ref(), PhysicalPlan::PartitionedHashJoin { .. });
             if fused {
                 let agg = Arc::new(PushedAgg {
                     group_by: group_by.clone(),
@@ -357,7 +345,7 @@ fn build_operator(
             right: Some(build_operator(right, sink, partition, in_worker)?),
             left_key: *left_key,
             right_key: *right_key,
-            table: HashMap::new(),
+            table: JoinTable::new(),
         }),
         PhysicalPlan::PartitionedHashJoin { .. } => {
             if in_worker {
@@ -439,18 +427,9 @@ fn build_operator(
 }
 
 /// Construct the operator for a [`PhysicalPlan::PartitionedHashJoin`]
-/// with metric slot `join_id` (already registered by the caller), picking
-/// the execution shape from the per-side dops:
-///
-/// * both sides parallel → partition-wise join (each worker owns one
-///   partition pair end-to-end),
-/// * one side parallel → shared partitions with a parallel build and/or
-///   worker probe,
-/// * neither → shared partitions, fully serial (degenerate; the planner
-///   emits a plain HashJoin instead).
-///
-/// Slot registration stays pre-order (probe subtree, then build subtree)
-/// to match [`PhysicalPlan::render`]. `agg`/`partial_slot` carry a fused
+/// with metric slot `join_id` (already registered by the caller). Slot
+/// registration stays pre-order (probe subtree, then build subtree) to
+/// match [`PhysicalPlan::render`]. `agg`/`partial_slot` carry a fused
 /// partial aggregate pushed down from the node above.
 fn build_partitioned_join(
     plan: &PhysicalPlan,
@@ -465,74 +444,26 @@ fn build_partitioned_join(
         left_key,
         right_key,
         probe_dop,
-        build_dop,
         ..
     } = plan
     else {
         unreachable!("build_partitioned_join on a non-join plan");
     };
-    let probe_dop = (*probe_dop).max(1);
-    let build_dop = (*build_dop).max(1);
-    if probe_dop > 1 && build_dop > 1 {
-        let probe_slots = (register_slots(probe, sink), plan_size(probe));
-        let build_slots = (register_slots(build, sink), plan_size(build));
-        return Ok(Box::new(PartitionWiseHashJoinOp {
-            probe_plan: probe.as_ref().clone(),
-            build_plan: build.as_ref().clone(),
-            left_key: *left_key,
-            right_key: *right_key,
-            probe_dop,
-            build_dop,
-            dop: probe_dop.max(build_dop),
-            agg,
-            out_rx: None,
-            probe_pool: None,
-            build_pool: None,
-            join_handles: Vec::new(),
-            join_reports: None,
-            id: join_id,
-            partial_slot,
-            probe_slots,
-            build_slots,
-            sink: sink.clone(),
-            finished: false,
-        }));
-    }
-    let probe_input = if probe_dop > 1 {
-        let slots = (register_slots(probe, sink), plan_size(probe));
-        ProbeInput::Workers {
-            fragment: probe.as_ref().clone(),
-            dop: probe_dop,
-            slots,
-        }
-    } else {
-        ProbeInput::Serial(Some(build_operator(probe, sink, &mut None, false)?))
-    };
-    let build_input = if build_dop > 1 {
-        let slots = (register_slots(build, sink), plan_size(build));
-        BuildInput::Parallel {
-            fragment: build.as_ref().clone(),
-            dop: build_dop,
-            slots,
-        }
-    } else {
-        BuildInput::Serial(Some(build_operator(build, sink, &mut None, false)?))
-    };
+    let probe_slots = (register_slots(probe, sink), plan_size(probe));
     Ok(Box::new(PartitionedHashJoinOp {
-        build: build_input,
-        probe: probe_input,
+        build: Some(build_operator(build, sink, &mut None, false)?),
+        probe: probe.as_ref().clone(),
+        dop: *probe_dop,
+        probe_slots,
         left_key: *left_key,
         right_key: *right_key,
-        nparts: probe_dop.max(build_dop),
         agg,
-        partitions: None,
         pool: None,
         id: join_id,
         partial_slot,
         sink: sink.clone(),
-        build_note: String::new(),
+        build_rows: 0,
         build_busy_ns: 0,
-        build_wait_ns: 0,
         finished: false,
     }))
 }
@@ -622,14 +553,14 @@ struct WorkerReport {
     /// The error that stopped the worker, if any.
     err: Option<CoreError>,
     /// Nanoseconds spent computing fragment batches and applying the
-    /// worker task (join probe, repartition routing).
+    /// worker task (join probe).
     busy_ns: u128,
     /// Nanoseconds blocked sending through bounded channels
     /// (back-pressure from the consumer side).
     wait_ns: u128,
-    /// Rows the worker's task produced: forwarded rows (Gather), joined
-    /// rows (probe), or routed rows (repartition). Reported even when a
-    /// pushed aggregate swallows the rows, so skew stays visible.
+    /// Rows the worker's task produced: forwarded rows (Gather) or
+    /// joined rows (probe). Reported even when a pushed aggregate
+    /// swallows the rows, so skew stays visible.
     task_rows: u64,
 }
 
@@ -656,22 +587,13 @@ impl PushedAgg {
 enum WorkerTask {
     /// Forward fragment batches as-is (a Gather).
     Forward,
-    /// Probe a shared partitioned hash-join build table with every
-    /// fragment row and forward the joined rows (or, with `agg`, fold
-    /// them into a partial aggregate and emit the states at the end).
+    /// Probe a shared hash-join build table with every fragment row and
+    /// forward the joined rows (or, with `agg`, fold them into a partial
+    /// aggregate and emit the states at the end).
     Probe {
-        partitions: Arc<Vec<PartitionMap>>,
+        table: Arc<JoinTable>,
         left_key: usize,
         agg: Option<Arc<PushedAgg>>,
-    },
-    /// Repartitioning-exchange producer: hash every fragment row on
-    /// `key` with [`partition_of`] and route it to `txs[partition]`
-    /// (NULL keys are dropped — routing only ever happens on join keys,
-    /// and NULL never matches). Consumers tearing down close the
-    /// channels, which stops the producer.
-    Repartition {
-        key: usize,
-        txs: Arc<Vec<channel::Sender<Batch>>>,
     },
 }
 
@@ -686,7 +608,7 @@ struct WorkerPool {
     rx: Option<channel::Receiver<(usize, Batch)>>,
     reports: channel::Receiver<WorkerReport>,
     handles: Vec<JoinHandle<()>>,
-    /// Per-worker task-produced rows (forwarded/joined/routed), filled
+    /// Per-worker task-produced rows (forwarded/joined), filled
     /// from the end-of-run reports at shutdown.
     task_rows: Vec<u64>,
     /// Summed across workers after shutdown: time computing fragment
@@ -716,7 +638,6 @@ impl WorkerPool {
         let task_kind = match task {
             WorkerTask::Forward => "forward",
             WorkerTask::Probe { .. } => "probe",
-            WorkerTask::Repartition { .. } => "repartition",
         };
         let mut handles = Vec::with_capacity(dop);
         for (w, cursor) in partitions.into_iter().enumerate() {
@@ -744,7 +665,7 @@ impl WorkerPool {
                         }
                         _ => None,
                     };
-                    'produce: loop {
+                    loop {
                         let start = Instant::now();
                         let Some(batch) = root.next_batch()? else {
                             busy_ns += start.elapsed().as_nanos();
@@ -762,11 +683,11 @@ impl WorkerPool {
                                 }
                             }
                             WorkerTask::Probe {
-                                partitions,
+                                table: join_table,
                                 left_key,
                                 ..
                             } => {
-                                let out = probe_partitions(&batch, partitions, *left_key);
+                                let out = probe_join_table(&batch, join_table, *left_key);
                                 task_rows += out.len() as u64;
                                 if let Some((spec, table)) = &mut agg_state {
                                     table.update_batch(spec, &out)?;
@@ -783,33 +704,6 @@ impl WorkerPool {
                                 if sent.is_err() {
                                     break;
                                 }
-                            }
-                            WorkerTask::Repartition { key, txs } => {
-                                let n = txs.len().max(1);
-                                let mut buckets: Vec<Batch> = vec![Vec::new(); n];
-                                for row in batch {
-                                    let k = row.get(*key);
-                                    if k.is_null() {
-                                        continue; // NULL join keys never match
-                                    }
-                                    let p = if n == 1 { 0 } else { partition_of(k, n) };
-                                    task_rows += 1;
-                                    buckets[p].push(row);
-                                }
-                                busy_ns += start.elapsed().as_nanos();
-                                let send_start = Instant::now();
-                                for (p, bucket) in buckets.into_iter().enumerate() {
-                                    if bucket.is_empty() {
-                                        continue;
-                                    }
-                                    if txs[p].send(bucket).is_err() {
-                                        // A consumer partition tore down
-                                        // (LIMIT/error): stop producing.
-                                        wait_ns += send_start.elapsed().as_nanos();
-                                        break 'produce;
-                                    }
-                                }
-                                wait_ns += send_start.elapsed().as_nanos();
                             }
                         }
                     }
@@ -960,85 +854,36 @@ impl Drop for ExchangeOp {
     }
 }
 
-// --------------------- partitioned parallel join ----------------------
+// ----------------------------- hash joins -----------------------------
 
-/// Route a join key to its build partition: a cheap multiply-mix over an
-/// Eq-consistent discriminant (numerically equal Int/Float route
-/// together, exactly like [`Value`]'s `Hash`/`Eq`), deterministic across
-/// threads so the build phase and every probe worker agree. Kept far
-/// cheaper than the partition maps' own SipHash — routing runs once per
-/// row on both hot paths.
-#[inline]
-fn partition_of(key: &Value, dop: usize) -> usize {
-    let bits = match key {
-        Value::Null => 0,
-        Value::Bool(b) => 1 + *b as u64,
-        Value::Int(i) => (*i as f64).to_bits(),
-        Value::Float(f) => f.to_bits(),
-        Value::Text(s) => {
-            // FNV-1a over the bytes.
-            let mut h = 0xcbf29ce484222325u64;
-            for b in s.as_bytes() {
-                h = (h ^ *b as u64).wrapping_mul(0x100000001b3);
+/// Drain a hash join's build input into one table keyed on column `key`
+/// — the build half of every hash join, serial and parallel. NULL keys
+/// never match, so they never enter the table. Returns the table and the
+/// number of rows drained.
+fn build_join_table(input: &mut dyn Operator, key: usize) -> Result<(JoinTable, u64), CoreError> {
+    let mut span = trace::span("build");
+    let mut table = JoinTable::new();
+    let mut rows = 0u64;
+    while let Some(batch) = input.next_batch()? {
+        rows += batch.len() as u64;
+        for row in batch {
+            let k = row.get(key).clone();
+            if !k.is_null() {
+                table.entry(k).or_default().push(row);
             }
-            h
         }
-    };
-    // splitmix64 finalizer: a single multiply is not enough here —
-    // integer keys go through their f64 bit pattern, which leaves the
-    // payload in the high mantissa bits with ≥32 trailing zeros, and
-    // one multiply + shift then routes every small int to partition 0.
-    // The xor-folds pull the high bits back down between multiplies.
-    let mut h = bits;
-    h ^= h >> 30;
-    h = h.wrapping_mul(0xBF58476D1CE4E5B9);
-    h ^= h >> 27;
-    h = h.wrapping_mul(0x94D049BB133111EB);
-    h ^= h >> 31;
-    (h % dop as u64) as usize
-}
-
-/// The shared build/probe row semantics of every hash join (serial and
-/// partitioned): NULL keys never build and never match; joined rows are
-/// `probe ++ build`. A serial join is simply the one-partition case.
-#[inline]
-fn join_build_insert(partitions: &mut [HashMap<Value, Vec<Tuple>>], key_idx: usize, row: Tuple) {
-    let key = row.get(key_idx).clone();
-    if key.is_null() {
-        return;
     }
-    let p = match partitions.len() {
-        1 => 0,
-        n => partition_of(&key, n),
-    };
-    partitions[p].entry(key).or_default().push(row);
+    span.attr("rows", rows);
+    Ok((table, rows))
 }
 
-#[inline]
-fn join_lookup<'a>(
-    partitions: &'a [HashMap<Value, Vec<Tuple>>],
-    key: &Value,
-) -> Option<&'a Vec<Tuple>> {
-    let p = match partitions.len() {
-        1 => 0,
-        n => partition_of(key, n),
-    };
-    partitions[p].get(key)
-}
-
-/// Probe the build partitions with one batch of probe-side rows.
-fn probe_partitions(
-    batch: &[Tuple],
-    partitions: &[HashMap<Value, Vec<Tuple>>],
-    left_key: usize,
-) -> Batch {
+/// Probe a join table with one batch of probe-side rows — the probe half
+/// of every hash join. Joined rows are `probe ++ build`; a NULL probe key
+/// finds nothing because the build never inserts one.
+fn probe_join_table(batch: &[Tuple], table: &JoinTable, key: usize) -> Batch {
     let mut out = Vec::new();
     for l in batch {
-        let key = l.get(left_key);
-        if key.is_null() {
-            continue;
-        }
-        if let Some(matches) = join_lookup(partitions, key) {
+        if let Some(matches) = table.get(l.get(key)) {
             for r in matches {
                 let mut vals = l.values.clone();
                 vals.extend(r.values.iter().cloned());
@@ -1049,54 +894,24 @@ fn probe_partitions(
     out
 }
 
-/// How a partitioned join drains its build (right) side into the shared
-/// hash partitions.
-enum BuildInput {
-    /// Drain on the consumer thread (the pre-exchange shape). The drain
-    /// is timed so it shows up in the join's busy split.
-    Serial(Option<Box<dyn Operator>>),
-    /// Repartitioning exchange: `dop` fragment producers route build
-    /// rows on the build key into one bounded channel per hash
-    /// partition; one builder thread per partition owns its map, so the
-    /// whole build runs in parallel without locking.
-    Parallel {
-        fragment: PhysicalPlan,
-        dop: usize,
-        slots: (usize, usize),
-    },
-}
-
-/// How a partitioned join streams its probe (left) side.
-enum ProbeInput {
-    /// Morsel fan-out: `dop` workers each drain one page-range partition
-    /// of the probe fragment and probe the shared partitions.
-    Workers {
-        fragment: PhysicalPlan,
-        dop: usize,
-        slots: (usize, usize),
-    },
-    /// Drain on the consumer thread (parallel-build, serial-probe).
-    Serial(Option<Box<dyn Operator>>),
-}
-
-/// Partitioned parallel hash join over shared read-only partitions. The
-/// first pull materializes the build side into `nparts` hash partitions
-/// — serially, or through a repartitioning exchange when the planner
-/// fanned the build side out — then the probe side streams against
-/// them, either from `dop` morsel workers or on the calling thread. An
-/// empty build side short-circuits: probe workers never spawn and the
-/// probe scan never runs. With a pushed partial aggregate, probe
-/// workers fold joined rows into per-worker aggregate states and only
-/// the encoded states cross the channel.
+/// Parallel hash join. The first pull drains the build side on the
+/// calling thread into one shared read-only [`JoinTable`], then `dop`
+/// morsel workers each probe it with their own page-range stream of the
+/// probe fragment. An empty build side short-circuits: probe workers
+/// never spawn and the probe scan never runs. With a pushed partial
+/// aggregate, probe workers fold joined rows into per-worker aggregate
+/// states and only the encoded states cross the channel.
 struct PartitionedHashJoinOp {
-    build: BuildInput,
-    probe: ProbeInput,
+    /// Drained (and dropped) on the first pull.
+    build: Option<Box<dyn Operator>>,
+    /// The fragment every probe worker runs over its scan partition.
+    probe: PhysicalPlan,
+    dop: usize,
+    /// `(base, len)` slot range of the probe fragment in the main sink.
+    probe_slots: (usize, usize),
     left_key: usize,
     right_key: usize,
-    /// Hash partitions the build side splits into (max of the two dops).
-    nparts: usize,
     agg: Option<Arc<PushedAgg>>,
-    partitions: Option<Arc<Vec<PartitionMap>>>,
     pool: Option<WorkerPool>,
     /// Own metric slot; `partial_slot` is set when a pushed aggregate
     /// means the metering shell above counts state rows into the
@@ -1104,109 +919,34 @@ struct PartitionedHashJoinOp {
     id: usize,
     partial_slot: Option<usize>,
     sink: MetricsSink,
-    /// `build=[...] parts=[...]` note fragment + the build side's
-    /// busy/wait split, folded into the join slot at shutdown.
-    build_note: String,
+    /// Rows the build drained and the time it took, folded into the
+    /// join slot at shutdown.
+    build_rows: u64,
     build_busy_ns: u128,
-    build_wait_ns: u128,
     finished: bool,
 }
 
 impl PartitionedHashJoinOp {
-    /// Materialize the build side into `nparts` hash partitions.
-    fn build_partitions(&mut self) -> Result<(), CoreError> {
-        let nparts = self.nparts.max(1);
-        let mut partitions: Vec<PartitionMap> = vec![HashMap::new(); nparts];
-        match &mut self.build {
-            BuildInput::Serial(op) => {
-                let mut op = op.take().expect("build side pending");
-                let start = Instant::now();
-                let mut total = 0u64;
-                while let Some(batch) = op.next_batch()? {
-                    total += batch.len() as u64;
-                    for row in batch {
-                        join_build_insert(&mut partitions, self.right_key, row);
-                    }
-                }
-                self.build_busy_ns += start.elapsed().as_nanos();
-                self.build_note = format!("build=[{total}]");
-            }
-            BuildInput::Parallel {
-                fragment,
-                dop,
-                slots,
-            } => {
-                let dop = (*dop).max(1);
-                let cap = (dop * EXCHANGE_QUEUE_PER_WORKER).max(2);
-                let mut txs = Vec::with_capacity(nparts);
-                let mut builders = Vec::with_capacity(nparts);
-                for part in 0..nparts {
-                    let (tx, rx) = channel::bounded::<Batch>(cap);
-                    txs.push(tx);
-                    let right_key = self.right_key;
-                    let trace_handle = trace::current_handle();
-                    builders.push(std::thread::spawn(move || {
-                        let _trace_scope = trace_handle.enter();
-                        let mut span = trace::span("partition_build");
-                        span.attr("partition", part);
-                        let mut map: PartitionMap = HashMap::new();
-                        while let Ok(batch) = rx.recv() {
-                            for row in batch {
-                                join_build_insert(std::slice::from_mut(&mut map), right_key, row);
-                            }
-                        }
-                        map
-                    }));
-                }
-                // The task owns the only non-worker clones of the
-                // senders; dropping it after spawn closes the channels
-                // once every producer exits, which ends the builders.
-                let task = WorkerTask::Repartition {
-                    key: self.right_key,
-                    txs: Arc::new(txs),
-                };
-                let spawned = WorkerPool::spawn(fragment, dop, &task, *slots);
-                drop(task);
-                let mut pool = match spawned {
-                    Ok(pool) => pool,
-                    Err(e) => {
-                        // Channels are closed; the builders end on their
-                        // own, but join them so no thread outlives us.
-                        for b in builders {
-                            let _ = b.join();
-                        }
-                        return Err(e);
-                    }
-                };
-                let mut panicked = false;
-                for (p, b) in builders.into_iter().enumerate() {
-                    match b.join() {
-                        Ok(map) => partitions[p] = map,
-                        Err(_) => panicked = true,
-                    }
-                }
-                let err = pool.shutdown(&self.sink);
-                self.build_note = format!("build={:?}", pool.task_rows);
-                self.build_busy_ns += pool.busy_ns;
-                self.build_wait_ns += pool.wait_ns;
-                if let Some(e) = err {
-                    return Err(e);
-                }
-                if panicked {
-                    return Err(CoreError::Unsupported(
-                        "parallel build worker panicked".to_string(),
-                    ));
-                }
-            }
+    /// Drain the build side, then spawn the probe workers over its table
+    /// (none when the table is empty).
+    fn start(&mut self, mut build: Box<dyn Operator>) -> Result<(), CoreError> {
+        let start = Instant::now();
+        let (table, rows) = build_join_table(build.as_mut(), self.right_key)?;
+        self.build_busy_ns = start.elapsed().as_nanos();
+        self.build_rows = rows;
+        if !table.is_empty() {
+            let task = WorkerTask::Probe {
+                table: Arc::new(table),
+                left_key: self.left_key,
+                agg: self.agg.clone(),
+            };
+            self.pool = Some(WorkerPool::spawn(
+                &self.probe,
+                self.dop,
+                &task,
+                self.probe_slots,
+            )?);
         }
-        if nparts > 1 {
-            let sizes: Vec<u64> = partitions
-                .iter()
-                .map(|p| p.values().map(|v| v.len() as u64).sum::<u64>())
-                .collect();
-            self.build_note.push_str(&format!(" parts={sizes:?}"));
-        }
-        self.partitions = Some(Arc::new(partitions));
         Ok(())
     }
 
@@ -1218,7 +958,7 @@ impl PartitionedHashJoinOp {
         let mut err = None;
         let mut note = String::new();
         let mut busy = self.build_busy_ns;
-        let mut wait = self.build_wait_ns;
+        let mut wait = 0u128;
         let mut joined_total = 0u64;
         if let Some(pool) = self.pool.as_mut() {
             err = pool.shutdown(&self.sink);
@@ -1229,7 +969,7 @@ impl PartitionedHashJoinOp {
         }
         let mut sink = self.sink.borrow_mut();
         let slot = &mut sink[self.id];
-        slot.note = format!("{note}{}", self.build_note);
+        slot.note = format!("{note}build=[{}]", self.build_rows);
         slot.busy_ns += busy;
         slot.wait_ns += wait;
         if self.partial_slot.is_some() {
@@ -1244,354 +984,22 @@ impl PartitionedHashJoinOp {
 
 impl Operator for PartitionedHashJoinOp {
     fn next_batch(&mut self) -> Result<Option<Batch>, CoreError> {
-        if self.finished {
-            return Ok(None);
-        }
-        if self.partitions.is_none() {
-            if let Err(e) = self.build_partitions() {
-                self.shutdown();
-                return Err(e);
-            }
-            let parts = self.partitions.as_ref().expect("partitions built");
-            if parts.iter().all(|p| p.is_empty()) {
-                // Empty build side can never produce a match; skip the
-                // probe entirely (workers never spawn). A pushed
-                // aggregate is still correct: the final HashAggregate
-                // sees zero state rows.
-                return match self.shutdown() {
-                    Some(e) => Err(e),
-                    None => Ok(None),
-                };
-            }
-        }
-        let parts = self.partitions.clone().expect("partitions built");
-        if let ProbeInput::Workers {
-            fragment,
-            dop,
-            slots,
-        } = &self.probe
-        {
-            if self.pool.is_none() {
-                self.pool = Some(WorkerPool::spawn(
-                    fragment,
-                    *dop,
-                    &WorkerTask::Probe {
-                        partitions: parts.clone(),
-                        left_key: self.left_key,
-                        agg: self.agg.clone(),
-                    },
-                    *slots,
-                )?);
-            }
-        }
-        if self.pool.is_some() {
-            return match self.pool.as_mut().expect("pool spawned").next()? {
-                Some((_, batch)) => Ok(Some(batch)),
-                None => match self.shutdown() {
-                    Some(e) => Err(e),
-                    None => Ok(None),
-                },
-            };
-        }
-        loop {
-            let next = match &mut self.probe {
-                ProbeInput::Serial(Some(op)) => op.next_batch()?,
-                _ => unreachable!("serial probe side pending"),
-            };
-            let Some(batch) = next else {
-                return match self.shutdown() {
-                    Some(e) => Err(e),
-                    None => Ok(None),
-                };
-            };
-            let out = probe_partitions(&batch, &parts, self.left_key);
-            if !out.is_empty() {
-                return Ok(Some(out));
-            }
-        }
-    }
-}
-
-impl Drop for PartitionedHashJoinOp {
-    fn drop(&mut self) {
-        let _ = self.shutdown();
-    }
-}
-
-// ---------------------- partition-wise hash join ----------------------
-
-/// What a partition-wise join worker reports at the end of its run.
-struct JoinWorkerReport {
-    worker: usize,
-    /// Rows received into this worker's build partition.
-    build_rows: u64,
-    /// Joined rows this worker produced (pre-aggregation).
-    joined_rows: u64,
-    err: Option<CoreError>,
-    busy_ns: u128,
-    wait_ns: u128,
-}
-
-/// One partition-wise join worker: owns hash partition `w` end-to-end.
-/// It drains its build channel into a private hash map, then probes it
-/// with its probe channel, streaming joined batches (or, with a pushed
-/// aggregate, one batch of encoded aggregate states) to the shared
-/// output channel. Teardown cascades: the consumer dropping the output
-/// receiver fails this worker's sends, the worker exiting drops its
-/// partition receivers, and the producers' sends into them fail next.
-#[allow(clippy::too_many_arguments)]
-fn partition_join_worker(
-    w: usize,
-    build_rx: channel::Receiver<Batch>,
-    probe_rx: channel::Receiver<Batch>,
-    out_tx: channel::Sender<(usize, Batch)>,
-    left_key: usize,
-    right_key: usize,
-    agg: Option<Arc<PushedAgg>>,
-    report_tx: channel::Sender<JoinWorkerReport>,
-) {
-    let mut busy_ns = 0u128;
-    let mut wait_ns = 0u128;
-    let mut build_rows = 0u64;
-    let mut joined_rows = 0u64;
-    let result = (|| -> Result<(), CoreError> {
-        let mut map: PartitionMap = HashMap::new();
-        let mut build_span = trace::span("build");
-        while let Ok(batch) = build_rx.recv() {
-            let start = Instant::now();
-            build_rows += batch.len() as u64;
-            for row in batch {
-                join_build_insert(std::slice::from_mut(&mut map), right_key, row);
-            }
-            busy_ns += start.elapsed().as_nanos();
-        }
-        build_span.attr("rows", build_rows);
-        drop(build_span);
-        let _probe_span = trace::span("probe");
-        if map.is_empty() {
-            // Nothing can match, but the probe stream must still drain:
-            // dropping the receiver early would fail sends from
-            // producers that still feed *other* partitions.
-            while probe_rx.recv().is_ok() {}
-            return Ok(());
-        }
-        let mut agg_state = agg.as_ref().map(|a| (a.spec(), AggTable::default()));
-        while let Ok(batch) = probe_rx.recv() {
-            let start = Instant::now();
-            let out = probe_partitions(&batch, std::slice::from_ref(&map), left_key);
-            joined_rows += out.len() as u64;
-            if let Some((spec, table)) = &mut agg_state {
-                table.update_batch(spec, &out)?;
-                busy_ns += start.elapsed().as_nanos();
-                continue;
-            }
-            busy_ns += start.elapsed().as_nanos();
-            if out.is_empty() {
-                continue;
-            }
-            let send_start = Instant::now();
-            let sent = out_tx.send((w, out));
-            wait_ns += send_start.elapsed().as_nanos();
-            if sent.is_err() {
-                return Ok(()); // consumer gone (e.g. LIMIT satisfied)
-            }
-        }
-        if let Some((spec, table)) = agg_state {
-            let rows = table.into_state_rows(&spec);
-            if !rows.is_empty() {
-                let send_start = Instant::now();
-                let _ = out_tx.send((w, rows));
-                wait_ns += send_start.elapsed().as_nanos();
-            }
-        }
-        Ok(())
-    })();
-    let _ = report_tx.send(JoinWorkerReport {
-        worker: w,
-        build_rows,
-        joined_rows,
-        err: result.err(),
-        busy_ns,
-        wait_ns,
-    });
-}
-
-/// Partition-wise parallel hash join: both sides run through a
-/// repartitioning exchange on their join key, and each of `dop` join
-/// workers owns one partition pair end-to-end (local build, local
-/// probe). Nothing is shared between workers, so build, probe, and —
-/// with a pushed aggregate — partial aggregation all run fully
-/// parallel; only joined batches (or tiny aggregate states) reach the
-/// single-threaded consumer.
-struct PartitionWiseHashJoinOp {
-    probe_plan: PhysicalPlan,
-    build_plan: PhysicalPlan,
-    left_key: usize,
-    right_key: usize,
-    probe_dop: usize,
-    build_dop: usize,
-    /// Join workers = hash partitions.
-    dop: usize,
-    agg: Option<Arc<PushedAgg>>,
-    out_rx: Option<channel::Receiver<(usize, Batch)>>,
-    probe_pool: Option<WorkerPool>,
-    build_pool: Option<WorkerPool>,
-    join_handles: Vec<JoinHandle<()>>,
-    join_reports: Option<channel::Receiver<JoinWorkerReport>>,
-    id: usize,
-    partial_slot: Option<usize>,
-    probe_slots: (usize, usize),
-    build_slots: (usize, usize),
-    sink: MetricsSink,
-    finished: bool,
-}
-
-impl PartitionWiseHashJoinOp {
-    fn start(&mut self) -> Result<(), CoreError> {
-        let dop = self.dop.max(1);
-        let (out_tx, out_rx) = channel::bounded(dop * EXCHANGE_QUEUE_PER_WORKER);
-        let (report_tx, report_rx) = channel::unbounded();
-        let bcap = (self.build_dop * EXCHANGE_QUEUE_PER_WORKER).max(2);
-        let pcap = (self.probe_dop * EXCHANGE_QUEUE_PER_WORKER).max(2);
-        let mut build_txs = Vec::with_capacity(dop);
-        let mut probe_txs = Vec::with_capacity(dop);
-        for w in 0..dop {
-            let (btx, brx) = channel::bounded::<Batch>(bcap);
-            let (ptx, prx) = channel::bounded::<Batch>(pcap);
-            build_txs.push(btx);
-            probe_txs.push(ptx);
-            let out_tx = out_tx.clone();
-            let report_tx = report_tx.clone();
-            let (left_key, right_key) = (self.left_key, self.right_key);
-            let agg = self.agg.clone();
-            let trace_handle = trace::current_handle();
-            self.join_handles.push(std::thread::spawn(move || {
-                let _trace_scope = trace_handle.enter();
-                let mut span = trace::span("partition_join");
-                span.attr("partition", w);
-                partition_join_worker(w, brx, prx, out_tx, left_key, right_key, agg, report_tx);
-            }));
-        }
-        drop(out_tx);
-        self.join_reports = Some(report_rx);
-        // Producers: build side first (the join workers consume build
-        // streams first); the probe producers just back-pressure on
-        // their bounded channels until each worker finishes building.
-        // If a spawn fails, the dropped senders close the partition
-        // channels and the join workers run out on their own.
-        let build_task = WorkerTask::Repartition {
-            key: self.right_key,
-            txs: Arc::new(build_txs),
-        };
-        let spawned = WorkerPool::spawn(
-            &self.build_plan,
-            self.build_dop,
-            &build_task,
-            self.build_slots,
-        );
-        drop(build_task);
-        self.build_pool = Some(spawned?);
-        let probe_task = WorkerTask::Repartition {
-            key: self.left_key,
-            txs: Arc::new(probe_txs),
-        };
-        let spawned = WorkerPool::spawn(
-            &self.probe_plan,
-            self.probe_dop,
-            &probe_task,
-            self.probe_slots,
-        );
-        drop(probe_task);
-        self.probe_pool = Some(spawned?);
-        self.out_rx = Some(out_rx);
-        Ok(())
-    }
-
-    fn shutdown(&mut self) -> Option<CoreError> {
-        if self.finished {
-            return None;
-        }
-        self.finished = true;
-        // Teardown ordering: drop the output receiver first (join
-        // workers' sends fail), join the workers (their exits drop the
-        // partition receivers), then join the producers (their sends
-        // fail). Each join below can only block on a thread that is
-        // already guaranteed to exit.
-        self.out_rx = None;
-        let mut first_err = None;
-        for h in self.join_handles.drain(..) {
-            if h.join().is_err() && first_err.is_none() {
-                first_err = Some(CoreError::Unsupported(
-                    "partition-wise join worker panicked".to_string(),
-                ));
-            }
-        }
-        let dop = self.dop.max(1);
-        let mut joined = vec![0u64; dop];
-        let mut build_parts = vec![0u64; dop];
-        let mut busy = 0u128;
-        let mut wait = 0u128;
-        if let Some(reports) = &self.join_reports {
-            while let Ok(r) = reports.try_recv() {
-                joined[r.worker] = r.joined_rows;
-                build_parts[r.worker] = r.build_rows;
-                busy += r.busy_ns;
-                wait += r.wait_ns;
-                if first_err.is_none() {
-                    first_err = r.err;
-                }
-            }
-        }
-        let mut build_workers = Vec::new();
-        let mut probe_workers = Vec::new();
-        if let Some(pool) = self.build_pool.as_mut() {
-            let err = pool.shutdown(&self.sink);
-            build_workers = pool.task_rows.clone();
-            busy += pool.busy_ns;
-            wait += pool.wait_ns;
-            if first_err.is_none() {
-                first_err = err;
-            }
-        }
-        if let Some(pool) = self.probe_pool.as_mut() {
-            let err = pool.shutdown(&self.sink);
-            probe_workers = pool.task_rows.clone();
-            busy += pool.busy_ns;
-            wait += pool.wait_ns;
-            if first_err.is_none() {
-                first_err = err;
-            }
-        }
-        let joined_total: u64 = joined.iter().sum();
-        let mut sink = self.sink.borrow_mut();
-        let slot = &mut sink[self.id];
-        slot.note = format!(
-            "workers={joined:?} build={build_workers:?} parts={build_parts:?} probe={probe_workers:?}"
-        );
-        slot.busy_ns += busy;
-        slot.wait_ns += wait;
-        if self.partial_slot.is_some() {
-            slot.rows_out += joined_total;
-            slot.nanos += busy;
-        }
-        first_err
-    }
-}
-
-impl Operator for PartitionWiseHashJoinOp {
-    fn next_batch(&mut self) -> Result<Option<Batch>, CoreError> {
-        if self.finished {
-            return Ok(None);
-        }
-        if self.out_rx.is_none() {
-            if let Err(e) = self.start() {
+        if let Some(build) = self.build.take() {
+            if let Err(e) = self.start(build) {
                 self.shutdown();
                 return Err(e);
             }
         }
-        match self.out_rx.as_ref().expect("started").recv() {
-            Ok((_, batch)) => Ok(Some(batch)),
-            Err(_) => match self.shutdown() {
+        // No pool: the build side was empty, so nothing can match (a
+        // pushed aggregate is still correct: the final HashAggregate
+        // sees zero state rows).
+        let next = match self.pool.as_mut() {
+            Some(pool) => pool.next()?,
+            None => None,
+        };
+        match next {
+            Some((_, batch)) => Ok(Some(batch)),
+            None => match self.shutdown() {
                 Some(e) => Err(e),
                 None => Ok(None),
             },
@@ -1599,7 +1007,7 @@ impl Operator for PartitionWiseHashJoinOp {
     }
 }
 
-impl Drop for PartitionWiseHashJoinOp {
+impl Drop for PartitionedHashJoinOp {
     fn drop(&mut self) {
         let _ = self.shutdown();
     }
@@ -1651,18 +1059,13 @@ struct HashJoinOp {
     right: Option<Box<dyn Operator>>,
     left_key: usize,
     right_key: usize,
-    table: HashMap<Value, Vec<Tuple>>,
+    table: JoinTable,
 }
 
 impl Operator for HashJoinOp {
     fn next_batch(&mut self) -> Result<Option<Batch>, CoreError> {
         if let Some(mut right) = self.right.take() {
-            // Build phase: hash the entire right input on its key.
-            while let Some(batch) = right.next_batch()? {
-                for row in batch {
-                    join_build_insert(std::slice::from_mut(&mut self.table), self.right_key, row);
-                }
-            }
+            self.table = build_join_table(right.as_mut(), self.right_key)?.0;
         }
         if self.table.is_empty() {
             // Empty build side can never produce a match; skip the probe.
@@ -1672,7 +1075,7 @@ impl Operator for HashJoinOp {
             let Some(batch) = self.left.next_batch()? else {
                 return Ok(None);
             };
-            let out = probe_partitions(&batch, std::slice::from_ref(&self.table), self.left_key);
+            let out = probe_join_table(&batch, &self.table, self.left_key);
             if !out.is_empty() {
                 return Ok(Some(out));
             }

@@ -18,9 +18,12 @@
 //!    NestedLoopJoin nodes (hash when an equi conjunct bridges the two
 //!    sides), remaining conjuncts become Filters at the lowest node where
 //!    they resolve, and the aggregate / project / sort / limit tail is
-//!    stacked on top. A `Reorder` node restores the FROM-clause column
-//!    layout whenever the optimizer's join order differs, so `SELECT *`
-//!    output is independent of the plan shape.
+//!    stacked on top. A hash join whose probe side is a parallel scan
+//!    becomes a [`PhysicalPlan::PartitionedHashJoin`] that absorbs that
+//!    scan's Gather; the build side keeps its own plan, Gather included.
+//!    A `Reorder` node restores the FROM-clause column layout whenever
+//!    the optimizer's join order differs, so `SELECT *` output is
+//!    independent of the plan shape.
 
 use crate::error::CoreError;
 use crate::exec::{collect_aggs, item_name};
@@ -134,23 +137,15 @@ pub enum PhysicalPlan {
         env: Bindings,
         est_rows: f64,
     },
-    /// Partitioned parallel hash join. The planner absorbs a Gather on
-    /// either join side into the join (the scan-dop cardinality gating
-    /// behind `SET parallelism` carries over), which picks the execution
-    /// shape per side:
-    ///
-    /// * `probe_dop > 1, build_dop == 1` — the build side drains
-    ///   serially into shared read-only hash partitions; `probe_dop`
-    ///   morsel workers probe them.
-    /// * `build_dop > 1, probe_dop == 1` — the build side flows through
-    ///   a hash-repartitioning exchange (`build_dop` producers routing
-    ///   on the build key, one builder per partition) and the probe side
-    ///   drains serially against the assembled partitions.
-    /// * both `> 1` — partition-wise join: both sides repartition on the
-    ///   join key and each worker joins its partition pair end-to-end.
+    /// Parallel hash join. The planner absorbs the probe side's Gather
+    /// into the join (the scan-dop cardinality gating behind `SET
+    /// parallelism` carries over): the build side drains serially into
+    /// one shared read-only hash table — through whatever plan its scan
+    /// got, a Gather included — and `probe_dop` morsel workers each probe
+    /// it with their own page-range stream of the probe fragment.
     PartitionedHashJoin {
-        /// Probe-side fragment (contains the probe scan leaf when
-        /// `probe_dop > 1`).
+        /// Probe-side fragment: runs inside every probe worker and
+        /// contains the probe scan leaf.
         probe: Box<PhysicalPlan>,
         build: Box<PhysicalPlan>,
         left_key: usize,
@@ -160,7 +155,6 @@ pub enum PhysicalPlan {
         env: Bindings,
         est_rows: f64,
         probe_dop: usize,
-        build_dop: usize,
     },
     /// Cross/theta join: materialize the right input, stream the left.
     NestedLoopJoin {
@@ -779,13 +773,10 @@ pub(crate) fn plan_select_overlaid(
                 collect_aggs(expr, &mut aggs);
             }
         }
-        // A partial aggregate directly above a probe-parallel join is
-        // fused into the join workers at execution time, so only
+        // A partial aggregate directly above a parallel join is fused
+        // into the join's probe workers at execution time, so only
         // encoded aggregate states reach the final merge.
-        let probe_parallel_join = matches!(
-            &plan,
-            PhysicalPlan::PartitionedHashJoin { probe_dop, .. } if *probe_dop > 1
-        );
+        let parallel_join = matches!(&plan, PhysicalPlan::PartitionedHashJoin { .. });
         match plan {
             // A parallel scan feeding an aggregate directly: aggregate
             // *inside* the workers (one state row per group per worker)
@@ -818,7 +809,7 @@ pub(crate) fn plan_select_overlaid(
             // Two-phase aggregation above a parallel join: the partial
             // phase rides inside the join workers and the final
             // HashAggregate merges their states.
-            join if probe_parallel_join => {
+            join if parallel_join => {
                 let partial = PhysicalPlan::PartialHashAggregate {
                     input: Box::new(join),
                     group_by: stmt.group_by.clone(),
@@ -1100,42 +1091,34 @@ impl JoinBuilder<'_> {
                 let mut plan = match join_key {
                     Some((j, (lk, rk), cond)) => {
                         self.used[j] = true;
-                        // Either side arriving as a parallel scan gets
+                        // A probe side arriving as a parallel scan gets
                         // its Gather absorbed into the join, so the
-                        // workers build/probe instead of just scanning
-                        // (the scans' cardinality gating already
-                        // authorized the fan-out). Both sides parallel
-                        // makes the join partition-wise.
-                        let (probe, probe_dop) = match left.plan {
-                            PhysicalPlan::Exchange { input, dop, .. } => (*input, dop),
-                            p => (p, 1),
-                        };
-                        let (build, build_dop) = match right.plan {
-                            PhysicalPlan::Exchange { input, dop, .. } => (*input, dop),
-                            b => (b, 1),
-                        };
-                        if probe_dop > 1 || build_dop > 1 {
-                            PhysicalPlan::PartitionedHashJoin {
-                                probe: Box::new(probe),
-                                build: Box::new(build),
-                                left_key: lk,
-                                right_key: rk,
-                                cond,
-                                env: env.clone(),
-                                est_rows,
-                                probe_dop,
-                                build_dop,
+                        // workers probe instead of just scanning (the
+                        // scan's cardinality gating already authorized
+                        // the fan-out). The build side keeps its plan:
+                        // one consumer drains it into the shared table.
+                        match left.plan {
+                            PhysicalPlan::Exchange { input, dop, .. } => {
+                                PhysicalPlan::PartitionedHashJoin {
+                                    probe: input,
+                                    build: Box::new(right.plan),
+                                    left_key: lk,
+                                    right_key: rk,
+                                    cond,
+                                    env: env.clone(),
+                                    est_rows,
+                                    probe_dop: dop,
+                                }
                             }
-                        } else {
-                            PhysicalPlan::HashJoin {
+                            probe => PhysicalPlan::HashJoin {
                                 left: Box::new(probe),
-                                right: Box::new(build),
+                                right: Box::new(right.plan),
                                 left_key: lk,
                                 right_key: rk,
                                 cond,
                                 env: env.clone(),
                                 est_rows,
-                            }
+                            },
                         }
                     }
                     None => PhysicalPlan::NestedLoopJoin {
@@ -1274,22 +1257,11 @@ impl PhysicalPlan {
                 cond,
                 est_rows,
                 probe_dop,
-                build_dop,
                 ..
-            } => {
-                let dop = probe_dop.max(build_dop);
-                let mode = if *probe_dop > 1 && *build_dop > 1 {
-                    format!(", partition-wise probe_dop={probe_dop} build_dop={build_dop}")
-                } else if *build_dop > 1 {
-                    format!(", parallel-build build_dop={build_dop}")
-                } else {
-                    String::new()
-                };
-                format!(
-                    "PartitionedHashJoin({}) (est={est_rows:.0} rows, dop={dop}{mode})",
-                    expr_sql(cond)
-                )
-            }
+            } => format!(
+                "PartitionedHashJoin({}) (est={est_rows:.0} rows, dop={probe_dop})",
+                expr_sql(cond)
+            ),
             PhysicalPlan::NestedLoopJoin { est_rows, .. } => {
                 format!("NestedLoopJoin (est={est_rows:.0} rows)")
             }

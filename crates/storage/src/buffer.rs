@@ -148,8 +148,8 @@ pub enum AccessHint {
     /// the un-hinted `with_page`/`with_page_mut` entry points.
     #[default]
     Point,
-    /// One touch of a large sequential sweep (morsel scans, repartition
-    /// producers). Admits cold; repeated sequential touches never promote.
+    /// One touch of a large sequential sweep (morsel scans). Admits
+    /// cold; repeated sequential touches never promote.
     Sequential,
     /// A fetch on behalf of an index descent or index-driven lookup.
     /// Admits warm, like `Point`.

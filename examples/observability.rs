@@ -95,7 +95,8 @@ fn main() {
     // pull the span tree back over the wire.
     c.affected("SET parallelism = 4").unwrap();
     // The demo table is small; force the parallel plan so the trace
-    // shows the worker/partition span tracks.
+    // shows the worker span tracks (the probe workers and the build
+    // side's Gather workers) and the join's build span.
     c.affected("SET parallel_min_rows = 0").unwrap();
     c.affected("SET trace = on").unwrap();
     let join_sql = "SELECT r.sensor, COUNT(*), SUM(s.v) FROM readings r, readings s \

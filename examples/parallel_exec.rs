@@ -1,11 +1,12 @@
 //! Demo of the parallel + vectorized execution engine: morsel-driven
 //! parallel scans behind `SET parallelism`, two-phase parallel
-//! aggregation, partitioned parallel hash joins in all three shapes
-//! (probe-parallel, parallel build via the repartitioning exchange,
-//! and partition-wise with both sides repartitioned), aggregation
-//! pushed into join workers, vectorized projections, planner-chosen
-//! B-tree index scans, and ORDER BY over unprojected columns — all
-//! surfaced through `EXPLAIN [ANALYZE]`.
+//! aggregation, the parallel hash join (one shared build table probed
+//! by morsel workers; a build side big enough to fan out drains through
+//! its own Gather), aggregation pushed into the probe workers,
+//! vectorized projections, planner-chosen B-tree index scans, and ORDER
+//! BY over unprojected columns — all surfaced through
+//! `EXPLAIN [ANALYZE]`. It asserts every parallel result equals the
+//! serial one.
 //!
 //! Run with: `cargo run --release --example parallel_exec`
 
@@ -69,9 +70,10 @@ fn main() {
         serial.rows().unwrap().rows[0].values
     );
 
-    // A hash join probing the big table becomes a partitioned parallel
-    // join: the dims build side is hash-partitioned and the events probe
-    // side fans out across 4 workers (per-worker rows on the join line).
+    // A hash join probing the big table becomes a parallel join: the
+    // kinds build side drains into one shared hash table and the events
+    // probe side fans out across 4 workers (per-worker rows on the join
+    // line).
     db.execute("CREATE TABLE kinds (kid INT PRIMARY KEY, label INT)")
         .unwrap();
     for k in 0..97 {
@@ -85,11 +87,10 @@ fn main() {
          WHERE e.kind = k.kid AND k.label = 2 AND e.weight > 20",
     );
 
-    // With a build side big enough to clear the gate itself, both sides
-    // repartition on the join key and the join runs partition-wise:
-    // each worker owns one (build, probe) partition pair end-to-end.
-    // The join line shows per-worker joined rows, per-worker build
-    // routing, and per-partition build sizes (skew made visible).
+    // A build side big enough to clear the gate itself keeps its own
+    // Gather: its workers scan in parallel while the join drains them
+    // into the one shared table, then the probe workers start. The join
+    // line shows per-worker joined rows and the build's row count.
     db.execute("CREATE TABLE readings (rid INT PRIMARY KEY, eref INT, val INT)")
         .unwrap();
     for chunk in 0..2 {
@@ -108,9 +109,9 @@ fn main() {
          WHERE e.eid = r.eref AND r.val < 4",
     );
 
-    // A small probe over a big build side takes the parallel-build
-    // shape: repartition producers fan the build scan out and builder
-    // threads own one hash partition each; the probe stays serial.
+    // A small probe over a big build side is a plain hash join: the
+    // probe stays serial and only the build scan fans out, behind its
+    // Gather.
     db.execute("CREATE TABLE watch (wid INT PRIMARY KEY, eref INT)")
         .unwrap();
     for w in 0..50 {
@@ -123,8 +124,8 @@ fn main() {
          WHERE w.eref = e.eid",
     );
 
-    // GROUP BY directly over the partition-wise join pushes the partial
-    // aggregate into the join workers: only per-group state rows cross
+    // GROUP BY directly over the parallel join pushes the partial
+    // aggregate into the probe workers: only per-group state rows cross
     // the output channel, merged at the final HashAggregate.
     show(
         &db,
@@ -147,10 +148,10 @@ fn main() {
     assert_eq!(
         parallel.rows().unwrap().rows,
         serial.rows().unwrap().rows,
-        "partition-wise join + pushed aggregate must agree with serial"
+        "parallel join + pushed aggregate must agree with serial"
     );
     println!(
-        "\npartition-wise join+agg == serial: {:?}",
+        "\nparallel join+agg == serial: {:?}",
         serial.rows().unwrap().rows[0].values
     );
 

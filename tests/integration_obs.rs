@@ -281,7 +281,7 @@ use proptest::prelude::*;
 use std::sync::Arc as StdArc;
 
 /// Seed a pair of tables big enough that `SET parallelism = 4` plans a
-/// partition-wise hash join (both sides clear the fan-out gate).
+/// parallel hash join whose build side also fans out behind a Gather.
 fn join_db() -> Database {
     // A deliberately tiny buffer pool: the join's scans must miss and
     // re-read pages, so `buffer.read` spans appear in traces.
@@ -319,13 +319,13 @@ fn spans_named<'a>(root: &'a Span, name: &str) -> Vec<&'a Span> {
     out
 }
 
-/// The tentpole acceptance shape, embedded: a dop-4 partition-wise join
-/// with pushed aggregation traces as a single rooted tree — worker and
-/// partition-join spans parented under `execute` (no orphans at the
-/// root), buffer miss/read spans from the scans, per-span attrs, and
-/// every span nested inside the statement's wall time.
+/// The tentpole acceptance shape, embedded: a dop-4 parallel join with
+/// pushed aggregation traces as a single rooted tree — probe-worker,
+/// build-side Gather worker and build spans parented under `execute` (no
+/// orphans at the root), buffer miss/read spans from the scans, per-span
+/// attrs, and every span nested inside the statement's wall time.
 #[test]
-fn trace_tree_captures_dop4_partition_wise_join() {
+fn trace_tree_captures_dop4_parallel_join() {
     let db = join_db();
     let mut session = SessionContext::new();
     session.set_session_id(11);
@@ -347,7 +347,8 @@ fn trace_tree_captures_dop4_partition_wise_join() {
         .map(|r| r.get(0).as_str().unwrap().to_string())
         .collect::<Vec<_>>()
         .join("\n");
-    assert!(plan.contains("partition-wise"), "{plan}");
+    assert!(plan.contains("PartitionedHashJoin"), "{plan}");
+    assert!(plan.contains("Gather(dop=4)"), "{plan}");
 
     let out = db.execute_in_session(&mut session, sql).unwrap();
     assert_eq!(out.rows().unwrap().rows.len(), 11);
@@ -368,8 +369,8 @@ fn trace_tree_captures_dop4_partition_wise_join() {
     }
     let execute = t.root.find("execute").expect("execute span");
 
-    // Worker spans: the repartition producers and the four join workers
-    // all landed under `execute`, each on its own track.
+    // Worker spans: the build side's Gather workers and the four probe
+    // workers all landed under `execute`, each on its own track.
     let workers = spans_named(execute, "worker");
     assert!(!workers.is_empty(), "no worker spans:\n{:#?}", t.root);
     assert_eq!(
@@ -381,17 +382,31 @@ fn trace_tree_captures_dop4_partition_wise_join() {
         assert_ne!(w.tid, 0, "worker spans run off the statement track");
         assert!(w.attrs.iter().any(|(k, _)| *k == "task"));
     }
-    let joins = spans_named(execute, "partition_join");
-    assert!(joins.len() >= 2, "partition-wise join spans missing");
-    for j in &joins {
-        assert!(j.attrs.iter().any(|(k, _)| *k == "partition"));
-        assert!(j.find("build").is_some(), "join worker without build span");
-        assert!(j.find("probe").is_some(), "join worker without probe span");
-    }
-    let builds = spans_named(execute, "build");
-    assert!(builds
+    let task_of = |w: &Span| {
+        w.attrs
+            .iter()
+            .find(|(k, _)| *k == "task")
+            .map(|(_, v)| v.clone())
+    };
+    let probes = workers
         .iter()
-        .any(|b| b.attrs.iter().any(|(k, _)| *k == "rows")));
+        .filter(|w| task_of(w).as_deref() == Some("probe"))
+        .count();
+    assert_eq!(probes, 4, "one probe span per worker:\n{:#?}", t.root);
+    assert!(
+        workers
+            .iter()
+            .any(|w| task_of(w).as_deref() == Some("forward")),
+        "build-side Gather worker spans missing"
+    );
+    // The build drains on the statement thread, once, before any probe.
+    let builds = spans_named(execute, "build");
+    assert_eq!(builds.len(), 1, "{:#?}", t.root);
+    assert_eq!(builds[0].tid, 0, "the build runs on the statement track");
+    assert!(builds[0]
+        .attrs
+        .iter()
+        .any(|(k, v)| *k == "rows" && v == "3000"));
 
     // The 8-frame pool forced misses: buffer.read spans with page ids.
     let reads = spans_named(&t.root, "buffer.read");

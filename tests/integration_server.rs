@@ -907,10 +907,10 @@ fn ycsb_zipf_concurrent_txns_consult_learned_cc() {
 // --------------------------- structured tracing ---------------------------
 
 /// The tentpole acceptance, over the wire: on a durable store with a
-/// deliberately tiny buffer pool, a dop-4 partition-wise join runs
-/// inside an open transaction with `SET trace = on`, and `SHOW TRACE`
-/// — issued while the transaction is still open — returns a single
-/// rooted tree with worker spans, buffer read spans, and (for the
+/// deliberately tiny buffer pool, a dop-4 parallel join runs inside an
+/// open transaction with `SET trace = on`, and `SHOW TRACE` — issued
+/// while the transaction is still open — returns a single rooted tree
+/// with probe-worker and build spans, buffer read spans, and (for the
 /// COMMIT's own trace) CC-validation and WAL append/fsync spans. The
 /// `FORMAT json` body is a complete Chrome trace for Perfetto.
 #[test]
@@ -963,14 +963,15 @@ fn show_trace_round_trips_over_tcp_inside_open_txn() {
     let join_sql = "SELECT d.grp, COUNT(*), SUM(f.v) FROM bf f, bd d \
                     WHERE f.k = d.did GROUP BY d.grp";
     let plan = plan_text(&mut c, &format!("EXPLAIN {join_sql}"));
-    assert!(plan.contains("partition-wise"), "{plan}");
+    assert!(plan.contains("PartitionedHashJoin"), "{plan}");
+    assert!(plan.contains("Gather(dop=4)"), "{plan}");
 
     c.affected("BEGIN").unwrap();
     // Gives COMMIT real write work so its trace shows the full
     // validation/WAL pipeline. It writes a table outside the join: a
     // scan of a table the open transaction wrote merges its overlay and
-    // runs serially, which would turn the partition-wise join into a
-    // parallel probe.
+    // runs serially, which would turn the parallel join into a serial
+    // one.
     c.affected("INSERT INTO audit VALUES (9000)").unwrap();
     assert_eq!(c.query(join_sql).unwrap().rows.len(), 11);
 
@@ -1016,8 +1017,15 @@ fn show_trace_round_trips_over_tcp_inside_open_txn() {
     assert!(has("execute"), "{}", lines.join("\n"));
     assert!(has("worker"), "worker spans missing:\n{}", lines.join("\n"));
     assert!(
-        has("partition_join"),
-        "partition-wise join spans missing:\n{}",
+        lines
+            .iter()
+            .any(|l| l.trim_start().starts_with("worker") && l.contains("task=probe")),
+        "probe worker spans missing:\n{}",
+        lines.join("\n")
+    );
+    assert!(
+        has("build"),
+        "join build span missing:\n{}",
         lines.join("\n")
     );
     assert!(

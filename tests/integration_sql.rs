@@ -671,12 +671,11 @@ fn limit_tears_down_blocked_parallel_workers() {
             .unwrap();
         assert_eq!(out.rows().unwrap().len(), 1);
     }
-    // Partition-wise teardown: both sides fan out, so LIMIT 1 leaves
-    // repartition *producers* blocked on full bounded partition channels
-    // and join workers blocked on the output channel. The consumer
-    // dropping the output receiver must cascade through both layers —
-    // join workers exit, their partition receivers drop, producer sends
-    // fail — with every thread joined, repeatedly.
+    // Big-build teardown: the build side fans out too, so its Gather
+    // drains 5,000 rows into the join table before the probe workers
+    // start. LIMIT 1 then leaves probe workers blocked on the full
+    // output channel; the consumer dropping its receiver must unblock
+    // and join them all, repeatedly.
     let mut stmt = String::from("INSERT INTO bigdims VALUES ");
     db.execute("CREATE TABLE bigdims (gid INT PRIMARY KEY, label INT)")
         .unwrap();
@@ -692,19 +691,34 @@ fn limit_tears_down_blocked_parallel_workers() {
         &db,
         &format!("EXPLAIN {}", sql.trim_end_matches(" LIMIT 1")),
     );
-    assert!(plan.contains("partition-wise"), "{plan}");
+    assert_gathered_build(&plan);
     for _ in 0..5 {
         let out = db.execute(sql).unwrap();
         assert_eq!(out.rows().unwrap().len(), 1);
     }
 }
 
-/// The repartitioning-exchange join shapes — parallel build with a
-/// serial probe, partition-wise, and two-phase aggregation fused into
-/// the join workers — must match the serial plans row-for-row and
-/// surface per-worker / per-partition row counts in `EXPLAIN ANALYZE`.
+/// Assert that a rendered plan's first parallel join has a fanned-out
+/// build side: the join, its probe scan (which runs inside the probe
+/// workers, so no Gather), then the build scan under its own Gather.
+fn assert_gathered_build(plan: &str) {
+    let lines: Vec<&str> = plan.lines().collect();
+    let j = lines
+        .iter()
+        .position(|l| l.contains("PartitionedHashJoin"))
+        .unwrap_or_else(|| panic!("no parallel join:\n{plan}"));
+    assert!(lines[j + 1].contains("├─ SeqScan("), "{plan}");
+    assert!(lines[j + 2].contains("└─ Gather("), "{plan}");
+    assert!(lines[j + 3].contains("└─ SeqScan("), "{plan}");
+}
+
+/// The parallel join's shapes — a probe that fans out over a gathered
+/// build side, a serial probe over a gathered build side, and two-phase
+/// aggregation fused into the probe workers — must match the serial
+/// plans row-for-row and surface per-worker and build row counts in
+/// `EXPLAIN ANALYZE`.
 #[test]
-fn repartition_shapes_match_serial_and_report_metrics() {
+fn parallel_join_shapes_match_serial_and_report_metrics() {
     let db = Database::new();
     db.execute("CREATE TABLE bf (id INT PRIMARY KEY, k INT, v INT)")
         .unwrap();
@@ -733,15 +747,15 @@ fn repartition_shapes_match_serial_and_report_metrics() {
             .unwrap();
     }
 
-    let partition_wise = "SELECT f.v, d.grp FROM bf f, bd d WHERE f.k = d.did";
-    let build_parallel = "SELECT s.sid, d.grp FROM sp s, bd d WHERE s.k = d.did";
+    let both_parallel = "SELECT f.v, d.grp FROM bf f, bd d WHERE f.k = d.did";
+    let serial_probe = "SELECT s.sid, d.grp FROM sp s, bd d WHERE s.k = d.did";
     let join_agg_grouped =
         "SELECT d.grp, COUNT(*), SUM(f.v) FROM bf f, bd d WHERE f.k = d.did GROUP BY d.grp";
     let join_agg_global = "SELECT COUNT(*), SUM(f.v), MIN(f.v), MAX(d.grp), AVG(f.v) \
                            FROM bf f, bd d WHERE f.k = d.did";
     let queries = [
-        partition_wise,
-        build_parallel,
+        both_parallel,
+        serial_probe,
         join_agg_grouped,
         join_agg_global,
     ];
@@ -749,40 +763,103 @@ fn repartition_shapes_match_serial_and_report_metrics() {
 
     db.execute("SET parallelism = 4").unwrap();
 
-    // Both sides clear the fan-out gate: partition-wise join, with
-    // per-partition joined rows, per-producer routed rows, and build
-    // partition sizes on the join line.
-    let plan = plan_text(&db, &format!("EXPLAIN ANALYZE {partition_wise}"));
-    assert!(plan.contains("partition-wise"), "{plan}");
+    // Both scans clear the fan-out gate: the probe scan runs inside the
+    // join's workers and the build side drains through its own Gather,
+    // with per-worker joined rows and the build's row count on the join
+    // line.
+    let plan = plan_text(&db, &format!("EXPLAIN ANALYZE {both_parallel}"));
+    assert_gathered_build(&plan);
     let join_line = plan
         .lines()
         .find(|l| l.contains("PartitionedHashJoin"))
         .unwrap();
     assert!(join_line.contains("workers=["), "{plan}");
-    assert!(join_line.contains("build=["), "{plan}");
-    assert!(join_line.contains("parts=["), "{plan}");
+    assert!(join_line.contains("build=[3000]"), "{plan}");
 
-    // A probe side below the gate keeps the probe serial while the big
-    // build side repartitions across 4 producers.
-    let plan = plan_text(&db, &format!("EXPLAIN ANALYZE {build_parallel}"));
-    assert!(plan.contains("parallel-build build_dop=4"), "{plan}");
+    // A probe side below the gate makes a plain hash join; its build
+    // side keeps the Gather its scan got.
+    let plan = plan_text(&db, &format!("EXPLAIN ANALYZE {serial_probe}"));
+    assert!(!plan.contains("PartitionedHashJoin"), "{plan}");
+    assert!(plan.contains("HashJoin"), "{plan}");
+    assert!(plan.contains("Gather(dop=4)"), "{plan}");
+
+    // Aggregates directly above a parallel join run two-phase: the
+    // partial phase is fused into the probe workers.
+    let plan = plan_text(&db, &format!("EXPLAIN ANALYZE {join_agg_grouped}"));
+    assert!(plan.contains("PartialHashAggregate"), "{plan}");
+    assert_gathered_build(&plan);
+
+    // Every shape matches its serial result multiset.
+    for (q, want) in queries.iter().zip(&serial) {
+        assert_eq!(&sorted_rows(&db, q), want, "dop=4 mismatch for {q}");
+    }
+}
+
+/// The `olap_drift` join shape: a 1,000-row dimension clears the
+/// fan-out gate at dop 2, yet it is only the build side of a join with a
+/// 20,000-row fact table. The plan keeps the one parallel shape — fact
+/// probed in workers, the dimension drained through its Gather — and
+/// `EXPLAIN ANALYZE` counts the same rows as at dop 1, operator by
+/// operator where the two plans share an operator.
+#[test]
+fn olap_shaped_join_gathers_small_build_side_at_dop2() {
+    let db = Database::new();
+    db.execute("CREATE TABLE dim1 (id INT, cat INT)").unwrap();
+    db.execute("CREATE TABLE fact (id INT, d1 INT, v INT)")
+        .unwrap();
+    let dim: Vec<String> = (0..1000).map(|i| format!("({i}, {})", i % 16)).collect();
+    db.execute(&format!("INSERT INTO dim1 VALUES {}", dim.join(", ")))
+        .unwrap();
+    for chunk in 0..20 {
+        let rows: Vec<String> = (chunk * 1000..(chunk + 1) * 1000)
+            .map(|i| format!("({i}, {}, {})", (i * 7) % 1000, i % 97))
+            .collect();
+        db.execute(&format!("INSERT INTO fact VALUES {}", rows.join(", ")))
+            .unwrap();
+    }
+    let sql = "SELECT d1.cat, COUNT(*), SUM(f.v) FROM fact f, dim1 d1 \
+               WHERE f.d1 = d1.id GROUP BY d1.cat";
+    let analyze = |db: &Database| plan_text(db, &format!("EXPLAIN ANALYZE {sql}"));
+    let rows_of = |line: &str| -> u64 {
+        let at = line.find("[rows=").expect("an analyzed line") + "[rows=".len();
+        line[at..].split(' ').next().unwrap().parse().unwrap()
+    };
+    let serial_plan = analyze(&db);
+    let serial = sorted_rows(&db, sql);
+
+    db.execute("SET parallelism = 2").unwrap();
+    let plan = plan_text(&db, &format!("EXPLAIN {sql}"));
+    assert_gathered_build(&plan);
+    // The join line carries one dop and no second execution mode.
     let join_line = plan
         .lines()
         .find(|l| l.contains("PartitionedHashJoin"))
         .unwrap();
-    assert!(join_line.contains("build=["), "{plan}");
-    assert!(join_line.contains("parts=["), "{plan}");
+    assert!(join_line.ends_with(" rows, dop=2)"), "{plan}");
 
-    // Aggregates directly above a parallel join run two-phase: the
-    // partial phase is fused into the join workers.
-    let plan = plan_text(&db, &format!("EXPLAIN ANALYZE {join_agg_grouped}"));
-    assert!(plan.contains("PartialHashAggregate"), "{plan}");
-    assert!(plan.contains("partition-wise"), "{plan}");
-
-    // Every shape matches its serial result multiset.
-    for (q, want) in queries.iter().zip(&serial) {
-        assert_eq!(&sorted_rows(&db, q), want, "repartition mismatch for {q}");
-    }
+    let parallel_plan = analyze(&db);
+    let line = |plan: &str, op: &str| -> String {
+        plan.lines()
+            .find(|l| {
+                l.trim_start_matches(['├', '└', '─', '│', ' '])
+                    .starts_with(op)
+            })
+            .unwrap_or_else(|| panic!("no {op} line:\n{plan}"))
+            .to_string()
+    };
+    // Every fact row finds its dimension row: 20,000 joined rows, 16
+    // groups, at either dop.
+    let serial_join = rows_of(&line(&serial_plan, "HashJoin"));
+    let parallel_join = rows_of(&line(&parallel_plan, "PartitionedHashJoin"));
+    assert_eq!(serial_join, 20_000, "{serial_plan}");
+    assert_eq!(parallel_join, serial_join, "{parallel_plan}");
+    assert_eq!(
+        rows_of(&line(&parallel_plan, "HashAggregate")),
+        rows_of(&line(&serial_plan, "HashAggregate")),
+        "{serial_plan}\n{parallel_plan}"
+    );
+    assert!(line(&parallel_plan, "PartitionedHashJoin").contains("build=[1000]"));
+    assert_eq!(sorted_rows(&db, sql), serial);
 }
 
 #[test]

@@ -52,6 +52,25 @@ fn run_with(
     (execute_plan(&planned.plan).unwrap(), rendered)
 }
 
+/// Whether some parallel join in a rendered plan has a Gather as its
+/// build side: its last child, the first line below the join that
+/// branches with `└─` at the join's own column.
+fn build_side_is_gather(plan: &str) -> bool {
+    let lines: Vec<&str> = plan.lines().collect();
+    lines.iter().enumerate().any(|(j, line)| {
+        let Some(at) = line.find("PartitionedHashJoin") else {
+            return false;
+        };
+        let col = line[..at].chars().count();
+        let child = |l: &str| l.chars().skip(col).collect::<String>();
+        lines[j + 1..]
+            .iter()
+            .map(|l| child(l))
+            .find(|c| c.starts_with("└─ "))
+            .is_some_and(|c| c.starts_with("└─ Gather"))
+    })
+}
+
 /// Force every scan to fan out at `parallelism` regardless of size: the
 /// zero min-rows gate drives the parallel operators (partitioned hash
 /// joins, Gathers with empty partitions) even over tiny tables.
@@ -123,8 +142,8 @@ fn reference(stmt: &SelectStmt, tables: &[(String, Arc<Table>)]) -> Vec<Vec<Valu
 /// table (after the first) to an earlier one, and optional extra range
 /// predicates. Cells are nullable (NULL join keys never match) and the
 /// value distribution is deliberately skewed onto one key, so the
-/// repartitioning shapes see empty partitions, all-NULL key columns,
-/// and heavy partition skew.
+/// parallel join sees empty scan partitions, all-NULL key columns, and
+/// heavy skew onto one probe worker.
 #[derive(Debug, Clone)]
 struct QueryCase {
     tables: Vec<Vec<(Option<i64>, Option<i64>)>>,
@@ -135,7 +154,7 @@ struct QueryCase {
 }
 
 /// A nullable cell with mass concentrated on one value: NULLs exercise
-/// the never-match path, the constant exercises partition skew. (The
+/// the never-match path, the constant exercises key skew. (The
 /// vendored `prop_oneof!` picks arms uniformly, so weights are spelled
 /// out as repeated arms.)
 fn arb_cell() -> impl Strategy<Value = Option<i64>> {
@@ -227,8 +246,8 @@ fn run_case(case: &QueryCase) {
     assert_eq!(normalized(&parallel.rows), have, "dop=4 mismatch for {sql}");
 
     // Force the parallel operators even over these tiny tables: every
-    // scan fans out and every eligible hash join runs through the
-    // repartitioning shapes (empty partitions and all-NULL keys included).
+    // scan fans out and every eligible hash join runs its probe in
+    // workers (empty partitions and all-NULL keys included).
     let (forced, forced_plan) = run_with(&sql, &tables, &forced_parallel(4));
     assert_eq!(
         normalized(&forced.rows),
@@ -236,11 +255,11 @@ fn run_case(case: &QueryCase) {
         "forced-parallel mismatch for {sql}"
     );
     if case.tables.len() == 2 {
-        // With both scans fanned out, a 2-way equi join must take the
-        // partition-wise shape (each worker joins one partition pair).
+        // With both scans fanned out, a 2-way equi join probes in
+        // workers and drains its build side through that side's Gather.
         assert!(
-            forced_plan.contains("partition-wise"),
-            "expected a partition-wise join for {sql}:\n{forced_plan}"
+            build_side_is_gather(&forced_plan),
+            "expected a parallel join over a gathered build side for {sql}:\n{forced_plan}"
         );
     }
 
@@ -376,8 +395,8 @@ proptest! {
         prop_assert!(rendered.contains("IndexScan"), "{}", rendered);
     }
 
-    /// A partitioned parallel hash join (big probe side fanned out
-    /// across morsel workers, build side hash-partitioned) returns
+    /// A parallel hash join (big probe side fanned out across morsel
+    /// workers, build side drained into one shared table) returns
     /// exactly the serial hash join's multiset, across probe sizes,
     /// build sizes, key distributions, and residual filters.
     #[test]
@@ -481,9 +500,9 @@ fn regression_four_way_chain() {
 #[test]
 fn regression_null_keys_and_empty_partitions() {
     // One column of all-NULL join keys, one entirely NULL table, and one
-    // empty table: repartition producers must drop NULL keys, join
-    // workers must handle empty build partitions, and the teardown must
-    // not hang when whole streams produce nothing.
+    // empty table: builds must drop NULL keys, an empty build table must
+    // short-circuit the probe, and the teardown must not hang when whole
+    // streams produce nothing.
     let case = QueryCase {
         tables: vec![
             (0..9).map(|i| (Some(i % 3), None)).collect(),
@@ -497,9 +516,9 @@ fn regression_null_keys_and_empty_partitions() {
 }
 
 #[test]
-fn regression_skewed_keys_partition_wise() {
-    // Every matching key hashes to the same partition: one join worker
-    // does all the work while its peers see empty partition pairs.
+fn regression_skewed_keys_parallel_join() {
+    // Every matching key is the same value: the whole build lands in one
+    // hash bucket and every probe match hits it.
     let case = QueryCase {
         tables: vec![
             vec![(Some(4), Some(1)); 10],
