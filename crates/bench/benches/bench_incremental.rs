@@ -1,13 +1,19 @@
 //! Ablation 2 (DESIGN.md §5): incremental update depth. Varies the frozen
 //! prefix of the fine-tuned ArmNet — 0 frozen layers is full retraining,
-//! `n-1` is head-only tuning — measuring adaptation wall-clock. Also
-//! benches model (dis)assembly through the layered model storage.
+//! `n-1` is head-only tuning — measuring adaptation wall-clock. Then the
+//! head-only fine-tune that `Database::finetune` runs, over 20k rows of
+//! few distinct values and over 20k distinct rows (the frozen prefix runs
+//! once per distinct row, so the second is its worst case). Also benches
+//! model (dis)assembly through the layered model storage.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use neurdb_core::{build_batches, AnalyticsWorkload};
-use neurdb_engine::streaming::{stream_from_source, Handshake, StreamParams};
+use neurdb_engine::streaming::{stream_from_source, DataBatch, Handshake, StreamParams};
 use neurdb_engine::AiEngine;
-use neurdb_nn::{armnet_spec, LossKind};
+use neurdb_nn::{armnet_finetune_from, armnet_spec, encode_batch, ArmNetConfig, LossKind, Matrix};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::collections::HashSet;
 use std::hint::black_box;
 
 fn setup(engine: &AiEngine) -> neurdb_engine::Mid {
@@ -55,6 +61,93 @@ fn bench_frozen_prefix(c: &mut Criterion) {
     g.finish();
 }
 
+/// The model `Database` trains for a 4-feature `PREDICT`.
+const PREDICT_MODEL: ArmNetConfig = ArmNetConfig {
+    nfields: 4,
+    vocab: 2048,
+    embed_dim: 8,
+    hidden: 64,
+    outputs: 1,
+};
+
+/// 20,000 rows in `Database::finetune`'s 4,096-row batches. The fields
+/// take 10, 10, 5 and 7 values, as in the e2ebench `ai_predict` table:
+/// about 3.5k distinct rows. With `all_distinct`, field 0 is the row
+/// number instead, so no row repeats (ids past the vocabulary share its
+/// last embedding, which costs the same).
+fn predict_rows(all_distinct: bool) -> Vec<DataBatch> {
+    let mut rng = StdRng::seed_from_u64(7);
+    let raw: Vec<Vec<u64>> = (0..20_000)
+        .map(|_| [10, 10, 5, 7].map(|n| rng.gen_range(0..n)).to_vec())
+        .collect();
+    let mut features = encode_batch(&raw, &PREDICT_MODEL);
+    if all_distinct {
+        for r in 0..features.rows {
+            features.set(r, 0, r as f32);
+        }
+    }
+    let distinct: HashSet<Vec<u32>> = (0..features.rows)
+        .map(|r| features.row(r).iter().map(|v| v.to_bits()).collect())
+        .collect();
+    println!("[rows] {} rows, {} distinct", features.rows, distinct.len());
+    let targets: Vec<f32> = (0..features.rows)
+        .map(|_| rng.gen_range(-1.0..1.0))
+        .collect();
+    (0..features.rows)
+        .step_by(4096)
+        .map(|lo| {
+            let hi = (lo + 4096).min(features.rows);
+            DataBatch {
+                features: Matrix::from_vec(
+                    hi - lo,
+                    PREDICT_MODEL.nfields,
+                    features.data[lo * PREDICT_MODEL.nfields..hi * PREDICT_MODEL.nfields].to_vec(),
+                ),
+                targets: Matrix::from_vec(hi - lo, 1, targets[lo..hi].to_vec()),
+            }
+        })
+        .collect()
+}
+
+fn handshake() -> Handshake {
+    Handshake {
+        model_descriptor: "ft".into(),
+        params: StreamParams {
+            batch_size: 4096,
+            window: 8,
+        },
+    }
+}
+
+fn bench_finetune_distinct_rows(c: &mut Criterion) {
+    let inputs = [
+        ("3.5k_distinct", predict_rows(false)),
+        ("all_distinct", predict_rows(true)),
+    ];
+    let engine = AiEngine::new();
+    let (rx, h) = stream_from_source(&handshake(), inputs[0].1.clone().into_iter());
+    let mid = engine
+        .train_streaming(armnet_spec(&PREDICT_MODEL), LossKind::Mse, 5e-3, rx)
+        .mid;
+    h.join().unwrap();
+    let from = armnet_finetune_from(&PREDICT_MODEL);
+    let mut g = c.benchmark_group("finetune_head_20k_rows");
+    g.sample_size(10);
+    for (name, batches) in &inputs {
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                let (rx, h) = stream_from_source(&handshake(), batches.clone().into_iter());
+                let out = engine
+                    .finetune_streaming(mid, LossKind::Mse, 5e-3, from, rx)
+                    .unwrap();
+                h.join().unwrap();
+                black_box(out.version)
+            })
+        });
+    }
+    g.finish();
+}
+
 fn bench_model_assembly(c: &mut Criterion) {
     let engine = AiEngine::new();
     let mid = setup(&engine);
@@ -86,5 +179,10 @@ fn bench_model_assembly(c: &mut Criterion) {
     );
 }
 
-criterion_group!(benches, bench_frozen_prefix, bench_model_assembly);
+criterion_group!(
+    benches,
+    bench_frozen_prefix,
+    bench_finetune_distinct_rows,
+    bench_model_assembly
+);
 criterion_main!(benches);

@@ -28,13 +28,14 @@ pub fn value_to_field(v: &Value) -> u64 {
 
 /// Extract `(fields, target)` pairs from rows: `features` are column
 /// indexes, `target` the label column.
-pub fn extract_examples(
-    rows: &[Tuple],
+pub fn extract_examples<'a>(
+    rows: impl IntoIterator<Item = &'a Tuple>,
     features: &[usize],
     target: usize,
 ) -> (Vec<Vec<u64>>, Vec<f32>) {
-    let mut xs = Vec::with_capacity(rows.len());
-    let mut ys = Vec::with_capacity(rows.len());
+    let rows = rows.into_iter();
+    let mut xs = Vec::with_capacity(rows.size_hint().0);
+    let mut ys = Vec::with_capacity(rows.size_hint().0);
     for row in rows {
         let label = row.get(target);
         if label.is_null() {

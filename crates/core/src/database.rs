@@ -174,6 +174,31 @@ pub(crate) fn dml_candidates(
     Ok(rows)
 }
 
+/// Labeled examples of `features` -> `target` from the rows of `t` that
+/// `keep` accepts, in heap order. The heap is read one scan batch at a
+/// time, so no copy of the whole table is made.
+fn labeled_examples(
+    t: &Table,
+    features: &[usize],
+    target: usize,
+    mut keep: impl FnMut(&Tuple) -> CoreResult<bool>,
+) -> CoreResult<(Vec<Vec<u64>>, Vec<f32>)> {
+    let (mut xs, mut ys) = (Vec::new(), Vec::new());
+    let mut scan = t.scan_batches(BATCH_ROWS);
+    while let Some(batch) = scan.next_batch()? {
+        let mut rows = Vec::with_capacity(batch.len());
+        for (_, row) in &batch {
+            if keep(row)? {
+                rows.push(row);
+            }
+        }
+        let (bx, by) = extract_examples(rows, features, target);
+        xs.extend(bx);
+        ys.extend(by);
+    }
+    Ok((xs, ys))
+}
+
 /// Entries the slow-query log retains before evicting the oldest.
 const SLOW_LOG_CAP: usize = 128;
 
@@ -1538,23 +1563,6 @@ impl Database {
                 (mid, cfg, std, feats)
             }
             None => {
-                // Gather training rows (WITH filters them).
-                let mut rows = Vec::new();
-                for (_, row) in t.scan()? {
-                    let keep = match &stmt.with {
-                        Some(p) => eval_predicate(p, &row, &env)?,
-                        None => true,
-                    };
-                    if keep {
-                        rows.push(row);
-                    }
-                }
-                let (xs, ys) = extract_examples(&rows, &features, target_idx);
-                if xs.is_empty() {
-                    return Err(CoreError::Unsupported(
-                        "no labeled training rows".to_string(),
-                    ));
-                }
                 let cfg = ArmNetConfig {
                     nfields: features.len(),
                     vocab: 2048,
@@ -1562,20 +1570,35 @@ impl Database {
                     hidden: 64,
                     outputs: 1,
                 };
-                let std = match stmt.task {
-                    PredictTask::Regression => Standardizer::fit(&ys),
-                    PredictTask::Classification => Standardizer::identity(),
+                // The examples live only until they are batched.
+                let (std, batch_size, batches) = {
+                    // Gather training rows (WITH filters them).
+                    let (xs, ys) =
+                        labeled_examples(&t, &features, target_idx, |row| match &stmt.with {
+                            Some(p) => Ok(eval_predicate(p, row, &env)?),
+                            None => Ok(true),
+                        })?;
+                    if xs.is_empty() {
+                        return Err(CoreError::Unsupported(
+                            "no labeled training rows".to_string(),
+                        ));
+                    }
+                    let std = match stmt.task {
+                        PredictTask::Regression => Standardizer::fit(&ys),
+                        PredictTask::Classification => Standardizer::identity(),
+                    };
+                    let batch_size = self.stream_params.batch_size.min(xs.len()).max(1);
+                    let one_epoch = make_batches(&xs, &ys, &cfg, batch_size, &std);
+                    // Cycle small tables for several epochs so the sample
+                    // budget is met (a single pass over a few hundred rows
+                    // cannot converge).
+                    let epochs = (self.train_sample_budget / xs.len().max(1)).clamp(1, 100);
+                    let mut batches = Vec::with_capacity(one_epoch.len() * epochs);
+                    for _ in 0..epochs {
+                        batches.extend(one_epoch.iter().cloned());
+                    }
+                    (std, batch_size, batches)
                 };
-                let batch_size = self.stream_params.batch_size.min(xs.len()).max(1);
-                let one_epoch = make_batches(&xs, &ys, &cfg, batch_size, &std);
-                // Cycle small tables for several epochs so the sample
-                // budget is met (a single pass over a few hundred rows
-                // cannot converge).
-                let epochs = (self.train_sample_budget / xs.len().max(1)).clamp(1, 100);
-                let mut batches = Vec::with_capacity(one_epoch.len() * epochs);
-                for _ in 0..epochs {
-                    batches.extend(one_epoch.iter().cloned());
-                }
                 let hs = Handshake {
                     model_descriptor: format!("armnet:{}:{}", stmt.table, stmt.target),
                     params: StreamParams {
@@ -1727,15 +1750,17 @@ impl Database {
             .schema
             .column_index(target)
             .ok_or_else(|| CoreError::UnknownColumn(target.to_string()))?;
-        let rows: Vec<Tuple> = t.scan()?.into_iter().map(|(_, r)| r).collect();
-        let (xs, ys) = extract_examples(&rows, &features, target_idx);
-        if xs.is_empty() {
-            return Err(CoreError::Unsupported(
-                "no labeled rows to fine-tune on".into(),
-            ));
-        }
-        let batch_size = self.stream_params.batch_size.min(xs.len()).max(1);
-        let batches = make_batches(&xs, &ys, &cfg, batch_size, &std);
+        // The examples live only until they are batched.
+        let (batch_size, batches) = {
+            let (xs, ys) = labeled_examples(&t, &features, target_idx, |_| Ok(true))?;
+            if xs.is_empty() {
+                return Err(CoreError::Unsupported(
+                    "no labeled rows to fine-tune on".into(),
+                ));
+            }
+            let batch_size = self.stream_params.batch_size.min(xs.len()).max(1);
+            (batch_size, make_batches(&xs, &ys, &cfg, batch_size, &std))
+        };
         let hs = Handshake {
             model_descriptor: format!("finetune:{table}:{target}"),
             params: StreamParams {

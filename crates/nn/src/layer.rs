@@ -326,7 +326,7 @@ pub struct LayerNorm {
     beta: Vec<f32>,
     ggamma: Vec<f32>,
     gbeta: Vec<f32>,
-    cache: Option<(Matrix, Vec<f32>, Vec<f32>)>, // normalized x, mean, inv_std
+    cache: Option<(Matrix, Vec<f32>)>, // normalized x, inv_std per row
     eps: f32,
 }
 
@@ -348,7 +348,6 @@ impl Layer for LayerNorm {
     fn forward(&mut self, input: &Matrix) -> Matrix {
         assert_eq!(input.cols, self.dim);
         let mut xhat = Matrix::zeros(input.rows, input.cols);
-        let mut means = Vec::with_capacity(input.rows);
         let mut inv_stds = Vec::with_capacity(input.rows);
         let mut out = Matrix::zeros(input.rows, input.cols);
         for r in 0..input.rows {
@@ -356,22 +355,28 @@ impl Layer for LayerNorm {
             let mean = row.iter().sum::<f32>() / self.dim as f32;
             let var = row.iter().map(|x| (x - mean).powi(2)).sum::<f32>() / self.dim as f32;
             let inv_std = 1.0 / (var + self.eps).sqrt();
-            means.push(mean);
             inv_stds.push(inv_std);
-            for (c, &x) in row.iter().enumerate() {
-                let h = (x - mean) * inv_std;
-                xhat.set(r, c, h);
-                out.set(r, c, h * self.gamma[c] + self.beta[c]);
+            let params = self.gamma.iter().zip(&self.beta);
+            for (((h, o), &x), (g, b)) in xhat
+                .row_mut(r)
+                .iter_mut()
+                .zip(out.row_mut(r))
+                .zip(row)
+                .zip(params)
+            {
+                *h = (x - mean) * inv_std;
+                *o = *h * g + b;
             }
         }
-        self.cache = Some((xhat, means, inv_stds));
+        self.cache = Some((xhat, inv_stds));
         out
     }
 
     fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let (xhat, _means, inv_stds) = self.cache.as_ref().expect("backward before forward");
+        let (xhat, inv_stds) = self.cache.as_ref().expect("backward before forward");
         let n = self.dim as f32;
         let mut grad_in = Matrix::zeros(grad_out.rows, grad_out.cols);
+        let mut dxhat = vec![0.0; self.dim];
         for (r, &inv_std) in inv_stds.iter().enumerate() {
             let g = grad_out.row(r);
             let xh = xhat.row(r);
@@ -381,12 +386,13 @@ impl Layer for LayerNorm {
                 self.gbeta[c] += g[c];
             }
             // dxhat = g * gamma
-            let dxhat: Vec<f32> = (0..self.dim).map(|c| g[c] * self.gamma[c]).collect();
+            for ((d, gv), gamma) in dxhat.iter_mut().zip(g).zip(&self.gamma) {
+                *d = gv * gamma;
+            }
             let sum_dxhat: f32 = dxhat.iter().sum();
             let sum_dxhat_xhat: f32 = dxhat.iter().zip(xh.iter()).map(|(a, b)| a * b).sum();
-            for c in 0..self.dim {
-                let v = (dxhat[c] - sum_dxhat / n - xh[c] * sum_dxhat_xhat / n) * inv_std;
-                grad_in.set(r, c, v);
+            for ((v, &d), &h) in grad_in.row_mut(r).iter_mut().zip(&dxhat).zip(xh) {
+                *v = (d - sum_dxhat / n - h * sum_dxhat_xhat / n) * inv_std;
             }
         }
         grad_in

@@ -13,6 +13,10 @@ use crate::optim::{Adam, OptimConfig};
 use crate::tensor::Matrix;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 
 /// Declarative layer description; the model manager persists this next to
 /// the weight blobs.
@@ -132,6 +136,13 @@ impl LayerSpec {
         Some(out)
     }
 
+    /// Whether the layer computes each output row from its own input row
+    /// alone. Attention is the one layer that does not: it mixes the rows
+    /// of a sequence.
+    pub fn is_row_wise(&self) -> bool {
+        !matches!(self, LayerSpec::MultiHeadAttention { .. })
+    }
+
     /// Instantiate the layer with fresh (random) weights.
     pub fn build(&self, rng: &mut impl Rng) -> Box<dyn Layer> {
         match self {
@@ -190,7 +201,20 @@ impl Model {
     }
 
     pub fn forward(&mut self, input: &Matrix) -> Matrix {
-        let Some((first, rest)) = self.layers.split_first_mut() else {
+        self.forward_from(0, input)
+    }
+
+    /// Forward through layers `from..` only: `input` is what layer
+    /// `from - 1` would output. Layers before `from` neither run nor
+    /// cache anything.
+    pub fn forward_from(&mut self, from: usize, input: &Matrix) -> Matrix {
+        self.forward_range(from..self.layers.len(), input)
+    }
+
+    /// Forward through `layers`. With no layers the output is a copy of
+    /// `input`; otherwise the input is only borrowed.
+    fn forward_range(&mut self, layers: Range<usize>, input: &Matrix) -> Matrix {
+        let Some((first, rest)) = self.layers[layers].split_first_mut() else {
             return input.clone();
         };
         let mut x = first.forward(input);
@@ -261,6 +285,109 @@ impl Model {
     }
 }
 
+/// The frozen prefix's output, memoized by input row.
+///
+/// While a prefix is frozen its weights do not change, so the output of a
+/// row-wise prefix is a pure function of the input row's bits: a row that
+/// repeats, within a batch or across batches, runs the prefix once. Each
+/// row-wise layer computes every row alone and in the same summation
+/// order, so a memoized row has the same bits as a recomputed one.
+/// Memory per distinct row: its prefix output (width × 4 bytes), its input
+/// row, and a 16-byte slot.
+#[derive(Default)]
+struct PrefixMemo {
+    /// Hash of an input row's bits -> its (sub-batch, row) in `subs`. A
+    /// row whose hash is taken by a different row is not memoized.
+    slots: HashMap<u64, (u32, u32), BuildHasherDefault<PassThrough>>,
+    /// Each sub-batch of new rows the prefix ran on, and its output.
+    subs: Vec<(Matrix, Matrix)>,
+}
+
+impl PrefixMemo {
+    /// Layers `..to` of `model` applied to `input`: rows not seen before
+    /// run through the prefix as one sub-batch, the rest come from the memo.
+    fn forward_prefix(&mut self, model: &mut Model, to: usize, input: &Matrix) -> Cow<'_, Matrix> {
+        let new = self.subs.len() as u32;
+        let mut slot_of = Vec::with_capacity(input.rows);
+        let mut fresh = Vec::new();
+        for r in 0..input.rows {
+            let row = input.row(r);
+            let hash = row_hash(row);
+            let seen = self.slots.get(&hash).copied().filter(|&(sub, i)| {
+                let seen = if sub == new {
+                    input.row(fresh[i as usize])
+                } else {
+                    self.subs[sub as usize].0.row(i as usize)
+                };
+                seen.iter()
+                    .zip(row)
+                    .all(|(a, b)| a.to_bits() == b.to_bits())
+            });
+            let slot = seen.unwrap_or_else(|| {
+                let slot = (new, fresh.len() as u32);
+                self.slots.entry(hash).or_insert(slot);
+                fresh.push(r);
+                slot
+            });
+            slot_of.push(slot);
+        }
+        if fresh.len() == input.rows {
+            // Every row is new and distinct: the sub-batch is the batch.
+            let out = model.forward_range(0..to, input);
+            self.subs.push((input.clone(), out));
+            return Cow::Borrowed(&self.subs[new as usize].1);
+        }
+        if !fresh.is_empty() {
+            let mut rows = Vec::with_capacity(fresh.len() * input.cols);
+            for &r in &fresh {
+                rows.extend_from_slice(input.row(r));
+            }
+            let rows = Matrix::from_vec(fresh.len(), input.cols, rows);
+            let out = model.forward_range(0..to, &rows);
+            self.subs.push((rows, out));
+        }
+        let width = self.subs[0].1.cols;
+        let mut data = Vec::with_capacity(input.rows * width);
+        for (sub, i) in slot_of {
+            data.extend_from_slice(self.subs[sub as usize].1.row(i as usize));
+        }
+        Cow::Owned(Matrix::from_vec(input.rows, width, data))
+    }
+}
+
+/// A row's `f32` bit patterns hashed by the multiply-rotate step of
+/// rustc's `FxHasher`, then the MurmurHash3 finalizer so that the low
+/// bits the map buckets by depend on every field.
+fn row_hash(row: &[f32]) -> u64 {
+    let mut h = row.iter().fold(0u64, |h, v| {
+        (h.rotate_left(5) ^ u64::from(v.to_bits())).wrapping_mul(0x517c_c1b7_2722_0a95)
+    });
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
+}
+
+/// The memo's map keys are [`row_hash`]es already; hash them to
+/// themselves.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("memo keys are u64 hashes")
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Couples a model with an Adam optimizer and a loss, handling layer
 /// freezing for incremental updates.
 pub struct Trainer {
@@ -268,6 +395,9 @@ pub struct Trainer {
     pub loss: LossKind,
     opt: Adam,
     frozen_prefix: usize,
+    /// Frozen-prefix outputs seen so far; empty unless the prefix is
+    /// frozen and row-wise. Freed with the trainer.
+    memo: PrefixMemo,
 }
 
 impl Trainer {
@@ -277,14 +407,19 @@ impl Trainer {
             loss,
             opt: Adam::new(cfg),
             frozen_prefix: 0,
+            memo: PrefixMemo::default(),
         }
     }
 
     /// Freeze the first `n` layers: their weights stop updating. This is
     /// the mechanism behind the paper's incremental model update — only the
     /// trailing layers are fine-tuned and persisted as a new version.
+    ///
+    /// Also drops the memo of frozen-prefix outputs, so call it again
+    /// after loading new weights into a frozen layer through `model`.
     pub fn set_frozen_prefix(&mut self, n: usize) {
         assert!(n <= self.model.num_layers());
+        self.memo = PrefixMemo::default();
         if n != self.frozen_prefix {
             self.frozen_prefix = n;
             self.opt.reset();
@@ -296,11 +431,18 @@ impl Trainer {
     }
 
     /// One SGD step on a batch. For [`LossKind::CrossEntropy`], `target`
-    /// column 0 holds class indexes. Returns the loss. The whole stack runs
-    /// forward, but only the unfrozen layers run backward: a fine-tune pays
-    /// for the layers it trains.
+    /// column 0 holds class indexes. Returns the loss. Only the unfrozen
+    /// layers run backward, and a frozen prefix of row-wise layers runs
+    /// forward once per distinct input row of the fine-tune (see
+    /// [`PrefixMemo`]): a fine-tune pays for the layers it trains.
     pub fn train_batch(&mut self, input: &Matrix, target: &Matrix) -> f32 {
-        let pred = self.model.forward(input);
+        let from = self.frozen_prefix;
+        let pred = if from > 0 && self.model.spec[..from].iter().all(LayerSpec::is_row_wise) {
+            let prefix_out = self.memo.forward_prefix(&mut self.model, from, input);
+            self.model.forward_from(from, &prefix_out)
+        } else {
+            self.model.forward(input)
+        };
         let (loss, grad) = match self.loss {
             LossKind::Mse => mse(&pred, target),
             LossKind::Bce => bce_with_logits(&pred, target),
@@ -311,7 +453,6 @@ impl Trainer {
                 softmax_cross_entropy(&pred, &labels)
             }
         };
-        let from = self.frozen_prefix;
         self.model.zero_grad(from);
         self.model.backward(from, &grad);
         // `params_from` and `grads_from` both borrow the model mutably, so

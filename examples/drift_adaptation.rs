@@ -9,7 +9,7 @@
 //!    adaptation when the transactional workload shifts.
 //!
 //! ```sh
-//! cargo run --release -p neurdb-core --example drift_adaptation
+//! cargo run --release --example drift_adaptation
 //! ```
 
 use neurdb_cc::{run_learned_adaptive, AdaptConfig, LearnedCc, Phase};
