@@ -20,8 +20,8 @@ use crate::durability::{
     SnapshotBinding,
 };
 use crate::error::{CoreError, CoreResult};
-use crate::exec::{execute_plan_instrumented, OpMetrics, QueryResult, BATCH_ROWS};
-use crate::expr::{eval_predicate, literal_value, Bindings};
+use crate::exec::{execute_plan_batches, OpMetrics, QueryResult, BATCH_ROWS};
+use crate::expr::{literal_value, Bindings};
 use crate::planner::{
     choose_index, conjuncts, plan_select_overlaid, resolvable, PhysicalPlan, PlannedSelect,
     PlannerConfig,
@@ -36,7 +36,8 @@ use neurdb_obs::trace::{self, FinishedTrace, Tracer};
 use neurdb_obs::MetricsRegistry;
 use neurdb_qo::SystemConditions;
 use neurdb_sql::{
-    parse, parse_script, ColumnSpec, Expr, PredictStmt, PredictTask, Statement, TrainOn, TypeName,
+    parse, parse_script, ColumnSpec, Expr, PredictStmt, PredictTask, SelectItem, SelectStmt,
+    Statement, TableRef, TrainOn, TypeName,
 };
 use neurdb_storage::{ColumnDef, DataType, RecordId, Schema, Table, Tuple, Value};
 use neurdb_wal::{DurableStore, DurableStoreOptions, Lsn, WalRecord, SYSTEM_TXN};
@@ -174,29 +175,20 @@ pub(crate) fn dml_candidates(
     Ok(rows)
 }
 
-/// Labeled examples of `features` -> `target` from the rows of `t` that
-/// `keep` accepts, in heap order. The heap is read one scan batch at a
-/// time, so no copy of the whole table is made.
-fn labeled_examples(
-    t: &Table,
-    features: &[usize],
-    target: usize,
-    mut keep: impl FnMut(&Tuple) -> CoreResult<bool>,
-) -> CoreResult<(Vec<Vec<u64>>, Vec<f32>)> {
-    let (mut xs, mut ys) = (Vec::new(), Vec::new());
-    let mut scan = t.scan_batches(BATCH_ROWS);
-    while let Some(batch) = scan.next_batch()? {
-        let mut rows = Vec::with_capacity(batch.len());
-        for (_, row) in &batch {
-            if keep(row)? {
-                rows.push(row);
-            }
-        }
-        let (bx, by) = extract_examples(rows, features, target);
-        xs.extend(bx);
-        ys.extend(by);
+/// `SELECT * FROM table [WHERE predicate]`: the query every row read
+/// of PREDICT and of a fine-tune plans.
+fn select_star(table: &str, predicate: Option<&Expr>) -> SelectStmt {
+    SelectStmt {
+        items: vec![SelectItem::Wildcard],
+        from: vec![TableRef {
+            name: table.to_string(),
+            alias: None,
+        }],
+        predicate: predicate.cloned(),
+        group_by: Vec::new(),
+        order_by: Vec::new(),
+        limit: None,
     }
-    Ok((xs, ys))
 }
 
 /// Entries the slow-query log retains before evicting the oldest.
@@ -246,7 +238,7 @@ pub struct Database {
     /// shared CC engine, the live (switchable, learned-by-default)
     /// policy, the commit lock, and the adaptation cadence.
     pub(crate) cc: CcState,
-    /// The in-database AI engine (task manager, model manager, runtimes).
+    /// The in-database AI engine (model manager and runtime).
     pub ai: AiEngine,
     /// Learned join-order optimizer for the SELECT planner. `None` (the
     /// default) routes multi-join queries through `neurdb-qo`'s
@@ -681,8 +673,8 @@ impl Database {
     /// inside the session's open transaction. Only three things differ
     /// inside a transaction: DML stages into the transaction's overlay
     /// instead of applying at once ([`Database::execute_dml`]), a SELECT
-    /// first registers its table reads with the CC engine, and DDL and
-    /// PREDICT are refused.
+    /// or PREDICT first registers its table reads with the CC engine,
+    /// and DDL and a PREDICT that would train a model are refused.
     fn run_statement_body(
         &self,
         session: &mut SessionContext,
@@ -695,8 +687,8 @@ impl Database {
                 self.execute_dml(session, &stmt).map(Output::Affected)
             }
             // DDL restructures shared catalog state the overlay cannot
-            // buffer, and PREDICT trains/serves models with durability
-            // side effects of its own — neither is transactional.
+            // buffer, so it is not transactional (nor is training; see
+            // `Database::predict`).
             Statement::CreateTable { .. }
             | Statement::DropTable { .. }
             | Statement::CreateIndex { .. }
@@ -706,9 +698,6 @@ impl Database {
                     "DDL cannot run inside a transaction".into(),
                 ))
             }
-            Statement::Predict(_) if in_txn => Err(CoreError::Unsupported(
-                "PREDICT cannot run inside a transaction".into(),
-            )),
             // DDL runs as a statement-level store transaction under the
             // commit lock, like autocommit DML; the durability wait
             // happens after the lock is released (group commit batches
@@ -731,38 +720,21 @@ impl Database {
                 Ok(out)
             }
             Statement::Select(s) => {
-                // An in-transaction SELECT registers its predicate read
-                // with the CC engine (per FROM table); planning resolves
-                // the session's effective tables (heap merged with the
-                // transaction's overlay).
-                if in_txn {
-                    let tables: Vec<String> = s.from.iter().map(|t| t.name.clone()).collect();
-                    self.txn_note_table_reads(session, &tables)?;
-                }
-                let planned = {
-                    let mut sp = trace::span("plan");
-                    let planned = self.plan(session, &s)?;
-                    if let Some(source) = &planned.join_order {
-                        sp.attr("join_order", source);
-                    }
-                    planned
-                };
-                let (rows, metrics) = {
-                    let mut sp = trace::span("execute");
-                    let (rows, metrics) = execute_plan_instrumented(&planned.plan)?;
-                    sp.attr("rows", rows.rows.len());
-                    (rows, metrics)
-                };
-                self.note_operator_metrics(&metrics);
+                let mut rows = Vec::new();
+                let (planned, metrics) = self.run_select(session, &s, |batch| {
+                    rows.extend(batch);
+                    Ok(())
+                })?;
                 if session.slow_query_ms().is_some() {
                     *provenance = Some((
                         planned.join_order.clone(),
                         planned.plan.render(Some(&metrics)),
                     ));
                 }
-                Ok(Output::Rows(rows))
+                let columns = planned.plan.output_columns();
+                Ok(Output::Rows(QueryResult { columns, rows }))
             }
-            Statement::Predict(p) => self.predict(&p).map(Output::Prediction),
+            Statement::Predict(p) => self.predict(session, &p).map(Output::Prediction),
             Statement::Explain { analyze, stmt } => {
                 self.explain(session, *stmt, analyze).map(Output::Rows)
             }
@@ -901,6 +873,71 @@ impl Database {
                 "unknown session setting '{other}'"
             ))),
         }
+    }
+
+    /// Plan `s` as `session` sees it and run it through the executor's
+    /// batch loop, handing each output batch to `visit`: the one read
+    /// path of SELECT, PREDICT and fine-tunes. Inside a transaction the
+    /// read first registers with the CC engine (per FROM table), and
+    /// planning merges the transaction's overlay into the scans. The
+    /// plan and execute steps are traced, and the operator counters
+    /// fold into the metrics registry.
+    fn run_select(
+        &self,
+        session: &mut SessionContext,
+        s: &SelectStmt,
+        mut visit: impl FnMut(Vec<Tuple>) -> CoreResult<()>,
+    ) -> CoreResult<(PlannedSelect, Vec<OpMetrics>)> {
+        if session.in_txn() {
+            let tables: Vec<String> = s.from.iter().map(|t| t.name.clone()).collect();
+            self.txn_note_table_reads(session, &tables)?;
+        }
+        let planned = {
+            let mut sp = trace::span("plan");
+            let planned = self.plan(session, s)?;
+            if let Some(source) = &planned.join_order {
+                sp.attr("join_order", source);
+            }
+            planned
+        };
+        let metrics = {
+            let mut sp = trace::span("execute");
+            let mut rows = 0;
+            let metrics = execute_plan_batches(&planned.plan, |batch| {
+                rows += batch.len();
+                visit(batch)
+            })?;
+            sp.attr("rows", rows);
+            metrics
+        };
+        self.note_operator_metrics(&metrics);
+        Ok((planned, metrics))
+    }
+
+    /// Labeled examples of `features` -> `target` from `SELECT * FROM
+    /// table [WHERE predicate]`. The read plans with the default, serial
+    /// [`PlannerConfig`] and outside any transaction, whatever the
+    /// calling session's settings, so the examples arrive in the order
+    /// of the planner's access path (heap order, or key order when an
+    /// index range serves the predicate) and trained bytes never depend
+    /// on worker timing. Each batch goes straight to
+    /// [`extract_examples`], so no copy of the table is made.
+    fn labeled_examples(
+        &self,
+        table: &str,
+        predicate: Option<&Expr>,
+        features: &[usize],
+        target: usize,
+    ) -> CoreResult<(Vec<Vec<u64>>, Vec<f32>)> {
+        let (mut xs, mut ys) = (Vec::new(), Vec::new());
+        let read = select_star(table, predicate);
+        self.run_select(&mut SessionContext::new(), &read, |batch| {
+            let (bx, by) = extract_examples(&batch, features, target);
+            xs.extend(bx);
+            ys.extend(by);
+            Ok(())
+        })?;
+        Ok((xs, ys))
     }
 
     /// Fold one instrumented execution's counters into the registry:
@@ -1251,7 +1288,7 @@ impl Database {
         }
         match analyze {
             true => {
-                let (_, metrics) = execute_plan_instrumented(&planned.plan)?;
+                let metrics = execute_plan_batches(&planned.plan, |_| Ok(()))?;
                 // Metered execution doubles as a training signal: feed
                 // the observed cardinalities back to the learned
                 // optimizer.
@@ -1526,7 +1563,17 @@ impl Database {
         }
     }
 
-    fn predict(&self, stmt: &PredictStmt) -> CoreResult<PredictionReport> {
+    /// Run a PREDICT in `session`. The first PREDICT on a `(table,
+    /// target)` trains a model from the `WITH` rows; later ones serve it.
+    /// The inference rows are a planned `SELECT * FROM table [WHERE …]`,
+    /// so inside a transaction they include its own uncommitted writes.
+    /// Training is refused there: it registers and logs a model, a
+    /// durable side effect a ROLLBACK could not undo.
+    fn predict(
+        &self,
+        session: &mut SessionContext,
+        stmt: &PredictStmt,
+    ) -> CoreResult<PredictionReport> {
         let t = self.table(&stmt.table)?;
         let target_idx = t
             .schema
@@ -1541,8 +1588,6 @@ impl Database {
             PredictTask::Classification => LossKind::Bce,
         };
         let key = (stmt.table.clone(), stmt.target.clone());
-        let names = t.schema.names();
-        let env = Bindings::for_table(&stmt.table, &names);
 
         // --- Training (first use of this (table, target)) ---
         let mut train_outcome = None;
@@ -1562,6 +1607,11 @@ impl Database {
                 }
                 (mid, cfg, std, feats)
             }
+            None if session.in_txn() => {
+                return Err(CoreError::Unsupported(
+                    "a PREDICT that trains a model cannot run inside a transaction".into(),
+                ))
+            }
             None => {
                 let cfg = ArmNetConfig {
                     nfields: features.len(),
@@ -1573,11 +1623,12 @@ impl Database {
                 // The examples live only until they are batched.
                 let (std, batch_size, batches) = {
                     // Gather training rows (WITH filters them).
-                    let (xs, ys) =
-                        labeled_examples(&t, &features, target_idx, |row| match &stmt.with {
-                            Some(p) => Ok(eval_predicate(p, row, &env)?),
-                            None => Ok(true),
-                        })?;
+                    let (xs, ys) = self.labeled_examples(
+                        &stmt.table,
+                        stmt.with.as_ref(),
+                        &features,
+                        target_idx,
+                    )?;
                     if xs.is_empty() {
                         return Err(CoreError::Unsupported(
                             "no labeled training rows".to_string(),
@@ -1673,22 +1724,19 @@ impl Database {
             None => {
                 let mut xs = Vec::new();
                 let mut disp = Vec::new();
-                for (_, row) in t.scan()? {
-                    let hit = match &stmt.predicate {
-                        Some(p) => eval_predicate(p, &row, &env)?,
-                        None => true,
-                    };
-                    if !hit {
-                        continue;
+                let read = select_star(&stmt.table, stmt.predicate.as_ref());
+                self.run_select(session, &read, |batch| {
+                    for row in &batch {
+                        xs.push(
+                            model_features
+                                .iter()
+                                .map(|&i| value_to_field(row.get(i)))
+                                .collect(),
+                        );
+                        disp.push(model_features.iter().map(|&i| row.get(i).clone()).collect());
                     }
-                    xs.push(
-                        model_features
-                            .iter()
-                            .map(|&i| value_to_field(row.get(i)))
-                            .collect(),
-                    );
-                    disp.push(model_features.iter().map(|&i| row.get(i).clone()).collect());
-                }
+                    Ok(())
+                })?;
                 (xs, disp)
             }
         };
@@ -1752,7 +1800,7 @@ impl Database {
             .ok_or_else(|| CoreError::UnknownColumn(target.to_string()))?;
         // The examples live only until they are batched.
         let (batch_size, batches) = {
-            let (xs, ys) = labeled_examples(&t, &features, target_idx, |_| Ok(true))?;
+            let (xs, ys) = self.labeled_examples(table, None, &features, target_idx)?;
             if xs.is_empty() {
                 return Err(CoreError::Unsupported(
                     "no labeled rows to fine-tune on".into(),

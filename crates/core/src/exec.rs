@@ -126,23 +126,41 @@ pub fn execute_plan(plan: &PhysicalPlan) -> Result<QueryResult, CoreError> {
 pub fn execute_plan_instrumented(
     plan: &PhysicalPlan,
 ) -> Result<(QueryResult, Vec<OpMetrics>), CoreError> {
+    let mut rows = Vec::new();
+    let metrics = execute_plan_batches(plan, |batch| {
+        rows.extend(batch);
+        Ok(())
+    })?;
+    let columns = plan.output_columns();
+    Ok((QueryResult { columns, rows }, metrics))
+}
+
+/// The executor's one batch loop: run a physical plan, handing each
+/// output batch to `visit` as the root produces it, and return the
+/// per-operator metrics in pre-order. An error from `visit` stops the
+/// plan.
+pub(crate) fn execute_plan_batches(
+    plan: &PhysicalPlan,
+    mut visit: impl FnMut(Batch) -> Result<(), CoreError>,
+) -> Result<Vec<OpMetrics>, CoreError> {
     let sink: MetricsSink = Rc::new(RefCell::new(Vec::new()));
     let mut root = build_operator(plan, &sink, &mut None, false)?;
-    let mut rows = Vec::new();
     let result = loop {
         match root.next_batch() {
-            Ok(Some(batch)) => rows.extend(batch),
+            Ok(Some(batch)) => {
+                if let Err(e) = visit(batch) {
+                    break Err(e);
+                }
+            }
             Ok(None) => break Ok(()),
             Err(e) => break Err(e),
         }
     };
     drop(root);
     result?;
-    let columns = plan.output_columns();
-    let metrics = Rc::try_unwrap(sink)
+    Ok(Rc::try_unwrap(sink)
         .expect("operators dropped")
-        .into_inner();
-    Ok((QueryResult { columns, rows }, metrics))
+        .into_inner())
 }
 
 // ----------------------------- operators -----------------------------

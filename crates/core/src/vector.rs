@@ -503,9 +503,10 @@ impl ProjectionSet {
     }
 
     /// Project an owned batch: each item is evaluated as one column,
-    /// then rows are reassembled in item order.
+    /// then rows are reassembled in item order. A lone `*` is the
+    /// identity, so the batch passes through without a copy.
     pub fn project(&self, batch: Vec<Tuple>) -> Result<Vec<Tuple>, EvalError> {
-        if batch.is_empty() {
+        if batch.is_empty() || matches!(self.items[..], [ProjKernel::Wildcard]) {
             return Ok(batch);
         }
         enum Out {

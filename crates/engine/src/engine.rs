@@ -1,23 +1,20 @@
-//! The AI engine: task manager, dispatchers, and AI runtimes
-//! (paper Section 4.1, Fig. 2).
+//! The AI engine: the AI runtime that runs training, fine-tuning and
+//! inference tasks (paper Section 4.1, Fig. 2).
 //!
-//! The task manager accepts AI tasks (training / fine-tuning / inference),
-//! creates a *dispatcher* per task, and hands execution to an *AI runtime*.
-//! Dispatchers stream data to runtimes through the
-//! [streaming protocol](crate::streaming); fine-tuning runs with a frozen
-//! layer prefix and persists only the updated trailing layers through the
+//! The database side dispatches each task itself: it streams data to the
+//! runtime through the [streaming protocol](crate::streaming) on a
+//! producer thread of the task. Fine-tuning runs with a frozen layer
+//! prefix and persists only the updated trailing layers through the
 //! [model manager](crate::model_manager) — the incremental update of
 //! Fig. 3.
 
 use crate::model_manager::{Mid, ModelManager, VersionTs};
-use crate::streaming::{DataBatch, StreamReceiver};
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crate::streaming::StreamReceiver;
 use neurdb_nn::{LayerSpec, LossKind, Matrix, Model, OptimConfig, Trainer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// Outcome of a training or fine-tuning task.
@@ -183,149 +180,10 @@ impl AiEngine {
     }
 }
 
-/// A queued AI task for the [`TaskManager`].
-pub struct AiTask {
-    /// Human-readable description ("train avazu", "finetune mid=3"...).
-    pub label: String,
-    /// The work itself.
-    pub run: Box<dyn FnOnce() -> TaskResult + Send>,
-}
-
-/// Result of a managed task.
-#[derive(Debug, Clone)]
-pub struct TaskResult {
-    pub label: String,
-    pub seconds: f64,
-    /// Task-defined scalar outcome (final loss, accuracy, ...).
-    pub metric: f64,
-}
-
-/// The task manager: a dispatcher pool executing queued AI tasks on worker
-/// threads ("the task manager coordinates and schedules the tasks and
-/// resources ... creates a dispatcher for each task", Fig. 2).
-pub struct TaskManager {
-    tx: Option<Sender<AiTask>>,
-    results_rx: Receiver<TaskResult>,
-    workers: Vec<JoinHandle<()>>,
-    submitted: AtomicU64,
-}
-
-impl TaskManager {
-    /// Spawn a manager with `dispatchers` worker threads.
-    pub fn new(dispatchers: usize) -> Self {
-        let (tx, rx) = unbounded::<AiTask>();
-        let (res_tx, results_rx) = unbounded::<TaskResult>();
-        let workers = (0..dispatchers.max(1))
-            .map(|_| {
-                let rx = rx.clone();
-                let res_tx = res_tx.clone();
-                std::thread::spawn(move || {
-                    while let Ok(task) = rx.recv() {
-                        let start = Instant::now();
-                        let mut result = (task.run)();
-                        result.seconds = start.elapsed().as_secs_f64();
-                        if res_tx.send(result).is_err() {
-                            break;
-                        }
-                    }
-                })
-            })
-            .collect();
-        TaskManager {
-            tx: Some(tx),
-            results_rx,
-            workers,
-            submitted: AtomicU64::new(0),
-        }
-    }
-
-    /// Queue a task.
-    pub fn submit(&self, task: AiTask) {
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-        self.tx
-            .as_ref()
-            .expect("task manager shut down")
-            .send(task)
-            .expect("workers alive");
-    }
-
-    /// Wait for all submitted tasks and collect their results.
-    pub fn drain(&self) -> Vec<TaskResult> {
-        let n = self.submitted.swap(0, Ordering::Relaxed);
-        (0..n)
-            .map(|_| self.results_rx.recv().expect("worker delivered result"))
-            .collect()
-    }
-}
-
-impl Drop for TaskManager {
-    fn drop(&mut self) {
-        self.tx.take(); // close the queue
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-}
-
-/// The PostgreSQL+P baseline path: load **all** batches first (paying a
-/// full serialize→copy→deserialize round per batch, as a client-protocol
-/// export does), then train — no pipelining, peak memory holds the whole
-/// dataset (paper Section 5.1.2).
-pub fn batch_load_then_train(
-    engine: &AiEngine,
-    spec: Vec<LayerSpec>,
-    loss: LossKind,
-    lr: f32,
-    source: impl Iterator<Item = DataBatch>,
-) -> TrainOutcome {
-    let start = Instant::now();
-    // Phase 1: bulk export. Extra encode/decode models the wire format +
-    // driver parse that an out-of-database runtime pays.
-    let t0 = Instant::now();
-    let staged: Vec<DataBatch> = source
-        .map(|b| {
-            let wire = b.encode();
-            let parsed = DataBatch::decode(&wire);
-            let wire2 = parsed.encode(); // driver -> tensor copy
-            DataBatch::decode(&wire2)
-        })
-        .collect();
-    let wait = t0.elapsed().as_secs_f64();
-    // Phase 2: train.
-    let mut rng = StdRng::seed_from_u64(0xBA5E);
-    let model = Model::from_spec(spec.clone(), &mut rng);
-    let mut trainer = Trainer::new(
-        model,
-        loss,
-        OptimConfig {
-            lr,
-            ..Default::default()
-        },
-    );
-    let mut losses = Vec::new();
-    let mut samples = 0;
-    let t1 = Instant::now();
-    for b in &staged {
-        losses.push(trainer.train_batch(&b.features, &b.targets));
-        samples += b.rows();
-    }
-    let compute = t1.elapsed().as_secs_f64();
-    let (mid, version) = engine.models.register(spec, trainer.model.layer_states());
-    TrainOutcome {
-        mid,
-        version,
-        losses,
-        samples,
-        compute_seconds: compute,
-        wait_seconds: wait,
-        total_seconds: start.elapsed().as_secs_f64(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::streaming::{stream_from_source, Handshake, StreamParams};
+    use crate::streaming::{stream_from_source, DataBatch, Handshake, StreamParams};
     use neurdb_nn::mlp_spec;
 
     fn toy_batches(n: usize, rows: usize) -> Vec<DataBatch> {
@@ -405,39 +263,5 @@ mod tests {
         // Old version still servable.
         let y_old = engine.infer_at(out.mid, out.version, &x).unwrap();
         assert_eq!(y.data, y_old.data);
-    }
-
-    #[test]
-    fn task_manager_runs_parallel_tasks() {
-        let tm = TaskManager::new(4);
-        for i in 0..8 {
-            tm.submit(AiTask {
-                label: format!("task{i}"),
-                run: Box::new(move || TaskResult {
-                    label: format!("task{i}"),
-                    seconds: 0.0,
-                    metric: i as f64,
-                }),
-            });
-        }
-        let results = tm.drain();
-        assert_eq!(results.len(), 8);
-        let mut metrics: Vec<f64> = results.iter().map(|r| r.metric).collect();
-        metrics.sort_by(f64::total_cmp);
-        assert_eq!(metrics, (0..8).map(|i| i as f64).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn baseline_pays_staging_cost() {
-        let engine = AiEngine::new();
-        let out = batch_load_then_train(
-            &engine,
-            mlp_spec(&[2, 8, 1]),
-            LossKind::Mse,
-            0.01,
-            toy_batches(30, 64).into_iter(),
-        );
-        assert_eq!(out.samples, 30 * 64);
-        assert!(out.wait_seconds > 0.0, "staging must be accounted");
     }
 }

@@ -1,7 +1,7 @@
 //! # neurdb-engine
 //!
 //! The in-database AI ecosystem of NeurDB-RS (paper Section 4.1): the AI
-//! engine with its task manager and dispatchers, the data streaming
+//! engine that runs training, fine-tuning and inference, the data streaming
 //! protocol between database and AI runtimes, the model manager with
 //! layered model storage / versioning / incremental updates (Fig. 3), and
 //! the monitor that detects drift and triggers adaptation.
@@ -28,7 +28,7 @@ pub mod monitor;
 pub mod mselection;
 pub mod streaming;
 
-pub use engine::{batch_load_then_train, AiEngine, AiTask, TaskManager, TaskResult, TrainOutcome};
+pub use engine::{AiEngine, TrainOutcome};
 pub use model_manager::{
     EventSink, Lid, Mid, ModelError, ModelEvent, ModelManager, StorageReport, VersionTs,
 };

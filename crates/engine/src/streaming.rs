@@ -87,91 +87,38 @@ impl DataBatch {
     }
 }
 
-/// Messages on the stream.
-enum Frame {
-    Data(Vec<u8>),
-    /// Dynamic parameter update for an ongoing task (the paper's
-    /// "data-driven dispatcher" adjusting streaming parameters live).
-    Reconfigure(StreamParams),
-    End,
-}
-
-/// Producer half of a data stream.
+/// Producer half of a data stream. Dropping it ends the stream.
 pub struct StreamSender {
-    tx: Sender<Frame>,
-    sent_batches: usize,
-    sent_bytes: usize,
+    tx: Sender<Vec<u8>>,
 }
 
 impl StreamSender {
     /// Send a batch (blocking when the window is full — this backpressure
     /// is what bounds memory, one of the protocol's stated goals).
     pub fn send(&mut self, batch: &DataBatch) -> Result<(), &'static str> {
-        let bytes = batch.encode();
-        self.sent_bytes += bytes.len();
-        self.sent_batches += 1;
         self.tx
-            .send(Frame::Data(bytes))
+            .send(batch.encode())
             .map_err(|_| "stream receiver dropped")
-    }
-
-    /// Push a live reconfiguration to the runtime.
-    pub fn reconfigure(&mut self, params: StreamParams) -> Result<(), &'static str> {
-        self.tx
-            .send(Frame::Reconfigure(params))
-            .map_err(|_| "stream receiver dropped")
-    }
-
-    /// Signal end-of-stream.
-    pub fn finish(self) {
-        let _ = self.tx.send(Frame::End);
-    }
-
-    pub fn sent_batches(&self) -> usize {
-        self.sent_batches
-    }
-
-    pub fn sent_bytes(&self) -> usize {
-        self.sent_bytes
     }
 }
 
 /// Consumer half of a data stream.
 pub struct StreamReceiver {
-    rx: Receiver<Frame>,
-    pub params: StreamParams,
+    rx: Receiver<Vec<u8>>,
 }
 
 impl StreamReceiver {
-    /// Blocking receive; `None` at end-of-stream. Reconfiguration frames
-    /// are applied transparently.
+    /// Blocking receive; `None` at end-of-stream.
     pub fn recv(&mut self) -> Option<DataBatch> {
-        loop {
-            match self.rx.recv().ok()? {
-                Frame::Data(bytes) => return Some(DataBatch::decode(&bytes)),
-                Frame::Reconfigure(p) => {
-                    self.params = p;
-                }
-                Frame::End => return None,
-            }
-        }
+        let bytes = self.rx.recv().ok()?;
+        Some(DataBatch::decode(&bytes))
     }
 }
 
 /// Perform the handshake and open a stream with the negotiated window.
 pub fn open_stream(handshake: &Handshake) -> (StreamSender, StreamReceiver) {
     let (tx, rx) = bounded(handshake.params.window.max(1));
-    (
-        StreamSender {
-            tx,
-            sent_batches: 0,
-            sent_bytes: 0,
-        },
-        StreamReceiver {
-            rx,
-            params: handshake.params,
-        },
-    )
+    (StreamSender { tx }, StreamReceiver { rx })
 }
 
 /// Spawn a producer thread that pulls batches from `source` and streams
@@ -189,7 +136,6 @@ pub fn stream_from_source(
             }
             n += 1;
         }
-        tx.finish();
         n
     });
     (rx, handle)
@@ -226,7 +172,7 @@ mod tests {
             for i in 0..10 {
                 tx.send(&batch(4, i as f32)).unwrap();
             }
-            tx.finish();
+            drop(tx);
         });
         let mut got = 0;
         while let Some(b) = rx.recv() {
@@ -266,26 +212,8 @@ mod tests {
             start.elapsed().as_millis() >= 20,
             "send should have blocked"
         );
-        tx.finish();
+        drop(tx);
         assert_eq!(t.join().unwrap(), 3);
-    }
-
-    #[test]
-    fn reconfigure_reaches_receiver() {
-        let hs = Handshake {
-            model_descriptor: "cfg".into(),
-            params: StreamParams::default(),
-        };
-        let (mut tx, mut rx) = open_stream(&hs);
-        let new = StreamParams {
-            batch_size: 128,
-            window: 8,
-        };
-        tx.reconfigure(new).unwrap();
-        tx.send(&batch(1, 0.0)).unwrap();
-        tx.finish();
-        assert!(rx.recv().is_some());
-        assert_eq!(rx.params, new);
     }
 
     #[test]

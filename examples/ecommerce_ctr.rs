@@ -4,7 +4,7 @@
 //! a miniature of Fig. 6(a).
 //!
 //! ```sh
-//! cargo run --release -p neurdb-core --example ecommerce_ctr
+//! cargo run --release --example ecommerce_ctr
 //! ```
 
 use neurdb_core::{run_neurdb, run_pgp, AnalyticsWorkload, RowSource};

@@ -4,7 +4,7 @@
 //! in-database training pipeline.
 //!
 //! ```sh
-//! cargo run --release -p neurdb-core --example healthcare
+//! cargo run --release --example healthcare
 //! ```
 
 use neurdb_core::{Database, Output};

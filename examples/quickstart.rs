@@ -2,7 +2,7 @@
 //! paper's `PREDICT` extension end-to-end.
 //!
 //! ```sh
-//! cargo run -p neurdb-core --example quickstart
+//! cargo run --release --example quickstart
 //! ```
 
 use neurdb_core::{Database, Output};

@@ -1,8 +1,18 @@
 //! End-to-end PREDICT statements: the paper's Listings 1 and 2 against
-//! real tables, plus model reuse, versioning, and fine-tuning.
+//! real tables, plus model reuse, versioning, and fine-tuning, and the
+//! read path PREDICT and fine-tunes share with SELECT.
 
-use neurdb_core::{Database, Output};
-use neurdb_storage::Value;
+use neurdb_core::{
+    eval_predicate, extract_examples, make_batches, Bindings, Database, Output, SessionContext,
+    Standardizer,
+};
+use neurdb_engine::streaming::{stream_from_source, Handshake};
+use neurdb_engine::AiEngine;
+use neurdb_nn::{armnet_finetune_from, armnet_spec, ArmNetConfig, LossKind};
+use neurdb_sql::{parse, Statement};
+use neurdb_storage::{Tuple, Value};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Build the paper's `review` table with a learnable score signal:
 /// score tracks `stars`, with some brands held out for inference.
@@ -211,4 +221,245 @@ fn no_training_rows_is_an_error() {
     assert!(db
         .execute("PREDICT VALUE OF y FROM empty_t TRAIN ON *")
         .is_err());
+}
+
+// ------------------------- the planned read path -------------------------
+
+/// `count` rows of `p (id INT, a INT, b INT, name TEXT, y FLOAT)` from
+/// id `first` on, as multi-row INSERTs; `a` and `name` are NULL about
+/// one time in ten.
+fn random_inserts(rng: &mut StdRng, first: usize, count: usize) -> Vec<String> {
+    let mut stmts = Vec::new();
+    for chunk in (first..first + count).collect::<Vec<_>>().chunks(250) {
+        let rows: Vec<String> = chunk
+            .iter()
+            .map(|id| {
+                let a = rng.gen_range(0..10i64);
+                let b = rng.gen_range(-5..5i64);
+                let y = a as f64 * 0.5 + b as f64 * 0.2 + rng.gen_range(0..10) as f64 * 0.01;
+                let a = match rng.gen_range(0..10) {
+                    0 => "NULL".to_string(),
+                    _ => a.to_string(),
+                };
+                let name = match rng.gen_range(0..10) {
+                    0 => "NULL".to_string(),
+                    n => format!("'n{}'", n % 8),
+                };
+                format!("({id}, {a}, {b}, {name}, {y:.3})")
+            })
+            .collect();
+        stmts.push(format!("INSERT INTO p VALUES {}", rows.join(", ")));
+    }
+    stmts
+}
+
+fn read_path_db(inserts: &[String]) -> Database {
+    let db = Database::new();
+    db.execute("CREATE TABLE p (id INT, a INT, b INT, name TEXT, y FLOAT)")
+        .unwrap();
+    for sql in inserts {
+        db.execute(sql).unwrap();
+    }
+    db
+}
+
+/// A random predicate over `p`: index ranges and points on `id`,
+/// integer and text comparisons, arithmetic, comparisons with NULL,
+/// qualified names, and AND/OR/NOT up to `depth` levels.
+fn random_predicate(rng: &mut StdRng, depth: usize) -> String {
+    if depth > 0 && rng.gen_range(0..3) > 0 {
+        let l = random_predicate(rng, depth - 1);
+        let r = random_predicate(rng, depth - 1);
+        return match rng.gen_range(0..3) {
+            0 => format!("({l} AND {r})"),
+            1 => format!("({l} OR {r})"),
+            _ => format!("NOT ({l})"),
+        };
+    }
+    let k = rng.gen_range(0..10i64);
+    let lo = rng.gen_range(0..3000i64);
+    match rng.gen_range(0..12) {
+        0 => format!("id >= {lo} AND id < {}", lo + rng.gen_range(1..600)),
+        1 => format!("id = {lo}"),
+        2 => format!("id < {lo}"),
+        3 => format!("a < {k}"),
+        4 => format!("a = {k}"),
+        5 => format!("a <> {k}"),
+        6 => format!("p.b > {}", k - 5),
+        7 => format!("name = 'n{}'", k % 8),
+        8 => format!("name < 'n{}'", k % 8),
+        9 => format!("name <> 'n{}'", k % 8),
+        10 => format!("a + b >= {k}"),
+        _ => "a = NULL".to_string(),
+    }
+}
+
+/// Order-normalized rendering of rows, each cut to its first `width`
+/// values (multiset comparison).
+fn multiset(rows: &[Tuple], width: usize) -> Vec<String> {
+    let mut out: Vec<String> = rows
+        .iter()
+        .map(|r| format!("{:?}", &r.values[..width]))
+        .collect();
+    out.sort();
+    out
+}
+
+fn prediction_rows(out: Output) -> Vec<Tuple> {
+    let Output::Prediction(p) = out else {
+        panic!("expected a prediction")
+    };
+    assert!(p.train_outcome.is_none(), "served, not retrained");
+    p.result.rows
+}
+
+#[test]
+fn predict_returns_the_rows_of_select_for_random_predicates() {
+    let mut rng = StdRng::seed_from_u64(26);
+    let db = read_path_db(&random_inserts(&mut rng, 0, 3000));
+    db.execute("CREATE INDEX ON p (id)").unwrap();
+    db.execute("PREDICT VALUE OF y FROM p TRAIN ON id, a, b, name")
+        .unwrap();
+    let mut parallel = SessionContext::new();
+    db.execute_in_session(&mut parallel, "SET parallelism = 4")
+        .unwrap();
+    db.execute_in_session(&mut parallel, "SET parallel_min_rows = 0")
+        .unwrap();
+    for _ in 0..60 {
+        let pred = random_predicate(&mut rng, 2);
+        let select = db
+            .execute(&format!("SELECT id, a, b, name FROM p WHERE {pred}"))
+            .unwrap();
+        let want = multiset(&select.rows().unwrap().rows, 4);
+        let predict = format!("PREDICT VALUE OF y FROM p WHERE {pred} TRAIN ON id, a, b, name");
+        let serial = prediction_rows(db.execute(&predict).unwrap());
+        assert_eq!(multiset(&serial, 4), want, "serial PREDICT WHERE {pred}");
+        let fanned = prediction_rows(db.execute_in_session(&mut parallel, &predict).unwrap());
+        // Each row's prediction does not depend on where the row sits
+        // in the inference batch, so whole rows match.
+        assert_eq!(
+            multiset(&fanned, 5),
+            multiset(&serial, 5),
+            "parallel PREDICT WHERE {pred}"
+        );
+    }
+}
+
+/// Every version's layer bytes of `mid`, oldest first.
+fn version_bytes(engine: &AiEngine, mid: neurdb_engine::Mid) -> Vec<Vec<Vec<u8>>> {
+    let models = &engine.models;
+    let versions = models.versions(mid).unwrap();
+    versions
+        .into_iter()
+        .map(|v| models.layer_states_at(mid, v).unwrap())
+        .collect()
+}
+
+/// The examples of `p` (`a, b, name` -> `y`) the heap-scan loop that
+/// PREDICT used before it read through the planner collects: every
+/// live row in heap order, kept when `with` holds.
+fn heap_scan_examples(db: &Database, with: Option<&str>) -> (Vec<Vec<u64>>, Vec<f32>) {
+    let t = db.table("p").unwrap();
+    let names = t.schema.names();
+    let env = Bindings::for_table("p", &names);
+    let with = with.map(|w| {
+        let Statement::Select(s) = parse(&format!("SELECT * FROM p WHERE {w}")).unwrap() else {
+            unreachable!()
+        };
+        s.predicate.unwrap()
+    });
+    let rows: Vec<Tuple> = t
+        .scan()
+        .unwrap()
+        .into_iter()
+        .map(|(_, row)| row)
+        .filter(|row| {
+            with.as_ref()
+                .is_none_or(|p| eval_predicate(p, row, &env).unwrap())
+        })
+        .collect();
+    extract_examples(&rows, &[1, 2, 3], 4)
+}
+
+/// Train and fine-tune twice the way `Database` does, on examples from
+/// [`heap_scan_examples`], in an engine of its own; returns every
+/// version's layer bytes.
+fn heap_scan_reference(first: &[String], more: &[String], with: &str) -> Vec<Vec<Vec<u8>>> {
+    let db = read_path_db(first);
+    let engine = AiEngine::new();
+    let cfg = ArmNetConfig {
+        nfields: 3,
+        vocab: 2048,
+        embed_dim: 8,
+        hidden: 64,
+        outputs: 1,
+    };
+    let stream = |xs: &[Vec<u64>], ys: &[f32], std: &Standardizer, epochs: usize| {
+        let mut hs = Handshake {
+            model_descriptor: "reference".into(),
+            params: db.stream_params,
+        };
+        hs.params.batch_size = db.stream_params.batch_size.min(xs.len());
+        let one_epoch = make_batches(xs, ys, &cfg, hs.params.batch_size, std);
+        let batches: Vec<_> = (0..epochs).flat_map(|_| one_epoch.clone()).collect();
+        stream_from_source(&hs, batches.into_iter())
+    };
+    let (xs, ys) = heap_scan_examples(&db, Some(with));
+    let std = Standardizer::fit(&ys);
+    let epochs = (db.train_sample_budget / xs.len()).clamp(1, 100);
+    let (rx, producer) = stream(&xs, &ys, &std, epochs);
+    let trained = engine.train_streaming(armnet_spec(&cfg), LossKind::Mse, db.learning_rate, rx);
+    producer.join().unwrap();
+    for sql in more {
+        db.execute(sql).unwrap();
+    }
+    for _ in 0..2 {
+        let (xs, ys) = heap_scan_examples(&db, None);
+        let (rx, producer) = stream(&xs, &ys, &std, 1);
+        let frozen = armnet_finetune_from(&cfg);
+        engine
+            .finetune_streaming(trained.mid, LossKind::Mse, db.learning_rate, frozen, rx)
+            .unwrap();
+        producer.join().unwrap();
+    }
+    version_bytes(&engine, trained.mid)
+}
+
+#[test]
+fn trained_and_finetuned_bytes_ignore_parallelism_and_match_heap_scan_loop() {
+    let mut rng = StdRng::seed_from_u64(7);
+    let first = random_inserts(&mut rng, 0, 1500);
+    let more = random_inserts(&mut rng, 1500, 200);
+    // OR with a NULL-able text column: no index range, three-valued logic.
+    let with = "a > 3 OR name = 'n1'";
+    let run = |parallelism: usize| {
+        let db = read_path_db(&first);
+        db.execute("CREATE INDEX ON p (id)").unwrap();
+        db.execute(&format!("SET parallelism = {parallelism}"))
+            .unwrap();
+        db.execute("SET parallel_min_rows = 0").unwrap();
+        let sql =
+            format!("PREDICT VALUE OF y FROM p WHERE id < 50 TRAIN ON a, b, name WITH {with}");
+        let Output::Prediction(p) = db.execute(&sql).unwrap() else {
+            panic!("expected a prediction")
+        };
+        assert!(p.train_outcome.is_some());
+        for sql in &more {
+            db.execute(sql).unwrap();
+        }
+        for _ in 0..2 {
+            db.finetune("p", "y").unwrap();
+        }
+        version_bytes(&db.ai, p.mid)
+    };
+    let serial = run(1);
+    assert_eq!(serial.len(), 3, "one trained and two fine-tuned versions");
+    assert!(
+        serial == run(4),
+        "layer bytes differ between parallelism 1 and 4"
+    );
+    assert!(
+        serial == heap_scan_reference(&first, &more, with),
+        "layer bytes differ from the heap-scan reference"
+    );
 }

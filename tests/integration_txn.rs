@@ -244,6 +244,56 @@ fn ddl_and_predict_refused_inside_txn() {
     assert!(matches!(err, CoreError::TxnAborted { .. }));
     assert_eq!(s.txn_state(), Some("aborted"));
     db.execute_in_session(&mut s, "ROLLBACK").unwrap();
+
+    // A PREDICT that would train a model is refused too: registering
+    // and logging the model is a durable side effect a ROLLBACK could
+    // not undo.
+    db.execute_in_session(&mut s, "BEGIN").unwrap();
+    let err = db
+        .execute_in_session(&mut s, "PREDICT VALUE OF val FROM t TRAIN ON id")
+        .unwrap_err();
+    let CoreError::TxnAborted { message, .. } = &err else {
+        panic!("expected TxnAborted, got {err:?}");
+    };
+    assert!(message.contains("trains a model"), "got: {message}");
+    assert_eq!(s.txn_state(), Some("aborted"));
+    db.execute_in_session(&mut s, "ROLLBACK").unwrap();
+    assert_eq!(db.ai.models.num_models(), 0, "no model was trained");
+}
+
+#[test]
+fn predict_inside_txn_sees_own_uncommitted_insert() {
+    let db = seeded_db();
+    // Train outside any transaction; later PREDICTs only serve.
+    db.execute("PREDICT VALUE OF val FROM t TRAIN ON id")
+        .unwrap();
+    let predicted_ids = |out: Output| -> Vec<Value> {
+        let Output::Prediction(p) = out else {
+            panic!("expected a prediction")
+        };
+        assert!(p.train_outcome.is_none(), "served, not retrained");
+        p.result.rows.iter().map(|r| r.get(0).clone()).collect()
+    };
+    let sql = "PREDICT VALUE OF val FROM t WHERE id >= 3 TRAIN ON id";
+    let mut s = SessionContext::new();
+    db.execute_in_session(&mut s, "BEGIN").unwrap();
+    db.execute_in_session(&mut s, "INSERT INTO t VALUES (7, 70)")
+        .unwrap();
+    let decisions = metric(&db, "cc.decisions");
+    let mine = predicted_ids(db.execute_in_session(&mut s, sql).unwrap());
+    assert_eq!(mine, vec![Value::Int(3), Value::Int(7)]);
+    assert!(
+        metric(&db, "cc.decisions") > decisions,
+        "the PREDICT registered its table read with CC"
+    );
+    assert_eq!(s.txn_state(), Some("active"));
+    // Other sessions never see the uncommitted row.
+    assert_eq!(predicted_ids(db.execute(sql).unwrap()), vec![Value::Int(3)]);
+    db.execute_in_session(&mut s, "ROLLBACK").unwrap();
+    assert_eq!(
+        predicted_ids(db.execute_in_session(&mut s, sql).unwrap()),
+        vec![Value::Int(3)]
+    );
 }
 
 #[test]
