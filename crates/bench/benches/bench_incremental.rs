@@ -8,8 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use neurdb_core::{build_batches, AnalyticsWorkload};
-use neurdb_engine::streaming::{stream_from_source, DataBatch, Handshake, StreamParams};
-use neurdb_engine::AiEngine;
+use neurdb_engine::{AiEngine, DataBatch};
 use neurdb_nn::{armnet_finetune_from, armnet_spec, encode_batch, ArmNetConfig, LossKind, Matrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -19,17 +18,9 @@ use std::hint::black_box;
 fn setup(engine: &AiEngine) -> neurdb_engine::Mid {
     let cfg = AnalyticsWorkload::Ecommerce.config();
     let batches = build_batches(AnalyticsWorkload::Ecommerce, 0, 8, 256, 1);
-    let hs = Handshake {
-        model_descriptor: "bench".into(),
-        params: StreamParams {
-            batch_size: 256,
-            window: 8,
-        },
-    };
-    let (rx, h) = stream_from_source(&hs, batches.into_iter());
-    let out = engine.train_streaming(armnet_spec(&cfg), LossKind::Mse, 5e-3, rx);
-    h.join().unwrap();
-    out.mid
+    engine
+        .train(armnet_spec(&cfg), LossKind::Mse, 5e-3, batches)
+        .mid
 }
 
 fn bench_frozen_prefix(c: &mut Criterion) {
@@ -42,18 +33,9 @@ fn bench_frozen_prefix(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::from_parameter(frozen), &frozen, |b, &f| {
             b.iter(|| {
                 let batches = build_batches(AnalyticsWorkload::Ecommerce, 1, 4, 256, 2);
-                let hs = Handshake {
-                    model_descriptor: "ft".into(),
-                    params: StreamParams {
-                        batch_size: 256,
-                        window: 8,
-                    },
-                };
-                let (rx, h) = stream_from_source(&hs, batches.into_iter());
                 let out = engine
-                    .finetune_streaming(mid, LossKind::Mse, 5e-3, f, rx)
+                    .finetune(mid, LossKind::Mse, 5e-3, f, batches)
                     .unwrap();
-                h.join().unwrap();
                 black_box(out.version)
             })
         });
@@ -109,38 +91,29 @@ fn predict_rows(all_distinct: bool) -> Vec<DataBatch> {
         .collect()
 }
 
-fn handshake() -> Handshake {
-    Handshake {
-        model_descriptor: "ft".into(),
-        params: StreamParams {
-            batch_size: 4096,
-            window: 8,
-        },
-    }
-}
-
 fn bench_finetune_distinct_rows(c: &mut Criterion) {
     let inputs = [
         ("3.5k_distinct", predict_rows(false)),
         ("all_distinct", predict_rows(true)),
     ];
     let engine = AiEngine::new();
-    let (rx, h) = stream_from_source(&handshake(), inputs[0].1.clone().into_iter());
     let mid = engine
-        .train_streaming(armnet_spec(&PREDICT_MODEL), LossKind::Mse, 5e-3, rx)
+        .train(
+            armnet_spec(&PREDICT_MODEL),
+            LossKind::Mse,
+            5e-3,
+            &inputs[0].1,
+        )
         .mid;
-    h.join().unwrap();
     let from = armnet_finetune_from(&PREDICT_MODEL);
     let mut g = c.benchmark_group("finetune_head_20k_rows");
     g.sample_size(10);
     for (name, batches) in &inputs {
         g.bench_function(name, |b| {
             b.iter(|| {
-                let (rx, h) = stream_from_source(&handshake(), batches.clone().into_iter());
                 let out = engine
-                    .finetune_streaming(mid, LossKind::Mse, 5e-3, from, rx)
+                    .finetune(mid, LossKind::Mse, 5e-3, from, batches)
                     .unwrap();
-                h.join().unwrap();
                 black_box(out.version)
             })
         });
@@ -154,18 +127,9 @@ fn bench_model_assembly(c: &mut Criterion) {
     // Create 10 incremental versions so assembly walks the layer table.
     for _ in 0..10 {
         let batches = build_batches(AnalyticsWorkload::Ecommerce, 0, 1, 128, 3);
-        let hs = Handshake {
-            model_descriptor: "v".into(),
-            params: StreamParams {
-                batch_size: 128,
-                window: 4,
-            },
-        };
-        let (rx, h) = stream_from_source(&hs, batches.into_iter());
         engine
-            .finetune_streaming(mid, LossKind::Mse, 5e-3, 6, rx)
+            .finetune(mid, LossKind::Mse, 5e-3, 6, batches)
             .unwrap();
-        h.join().unwrap();
     }
     c.bench_function("materialize_latest_of_11_versions", |b| {
         b.iter(|| black_box(engine.models.materialize_latest(mid).unwrap().num_layers()))

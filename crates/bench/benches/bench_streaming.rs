@@ -1,13 +1,11 @@
-//! Ablation 1 (DESIGN.md §5): the streaming window. Sweeps the window
-//! size of the data streaming protocol — window 1 degenerates to
-//! ping-pong batching; large windows buy full overlap at bounded memory.
-//! Also benches the raw wire codec.
+//! Ablation 1 (DESIGN.md §5): the streaming window. Sweeps the window of
+//! the Fig. 6 harness's producer-thread stream (`run_neurdb`) — window 1
+//! degenerates to ping-pong batching; large windows buy full overlap at
+//! bounded memory.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use neurdb_core::{run_neurdb, AnalyticsWorkload, RowSource};
-use neurdb_engine::streaming::DataBatch;
 use neurdb_engine::AiEngine;
-use neurdb_nn::Matrix;
 use std::hint::black_box;
 
 fn bench_window_sweep(c: &mut Criterion) {
@@ -33,19 +31,5 @@ fn bench_window_sweep(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_wire_codec(c: &mut Criterion) {
-    let batch = DataBatch {
-        features: Matrix::from_vec(4096, 22, vec![1.0; 4096 * 22]),
-        targets: Matrix::from_vec(4096, 1, vec![0.5; 4096]),
-    };
-    let enc = batch.encode();
-    let mut g = c.benchmark_group("wire_codec_4096x22");
-    g.bench_function("encode", |b| b.iter(|| black_box(batch.encode().len())));
-    g.bench_function("decode", |b| {
-        b.iter(|| black_box(DataBatch::decode(&enc).rows()))
-    });
-    g.finish();
-}
-
-criterion_group!(benches, bench_window_sweep, bench_wire_codec);
+criterion_group!(benches, bench_window_sweep);
 criterion_main!(benches);

@@ -15,7 +15,6 @@ use neurdb_cc::{
     run_learned_adaptive, run_polyjuice_adaptive, AdaptConfig, LearnedCc, Phase, PolyjuiceCc,
 };
 use neurdb_core::{run_neurdb, run_pgp, AnalyticsWorkload, RowSource};
-use neurdb_engine::streaming::{stream_from_source, Handshake, StreamParams};
 use neurdb_engine::AiEngine;
 use neurdb_nn::{armnet_spec, LossKind};
 use neurdb_qo::{
@@ -178,13 +177,6 @@ fn fig6c(quick: bool) {
     );
     let cfg = AnalyticsWorkload::Ecommerce.config();
     let spec = armnet_spec(&cfg);
-    let hs = |b: usize| Handshake {
-        model_descriptor: "fig6c".into(),
-        params: StreamParams {
-            batch_size: b,
-            window: 80,
-        },
-    };
     // Variant A: w/o incremental update — fresh model per cluster.
     let engine_a = AiEngine::new();
     let mut losses_a: Vec<f32> = Vec::new();
@@ -196,12 +188,8 @@ fn fig6c(quick: bool) {
             batch_size: batch,
             seed: 100 + cluster as u64,
         };
-        let (rx, h) = stream_from_source(
-            &hs(batch),
-            (0..batches_per_cluster).map(move |i| src.wire_batch(i, &cfg)),
-        );
-        let out = engine_a.train_streaming(spec.clone(), LossKind::Mse, 5e-3, rx);
-        h.join().unwrap();
+        let batches = (0..batches_per_cluster).map(|i| src.batch(i, &cfg));
+        let out = engine_a.train(spec.clone(), LossKind::Mse, 5e-3, batches);
         losses_a.extend(out.losses);
     }
     // Variant B: with incremental update — one model, fine-tuned at drift.
@@ -216,17 +204,13 @@ fn fig6c(quick: bool) {
             batch_size: batch,
             seed: 100 + cluster as u64,
         };
-        let (rx, h) = stream_from_source(
-            &hs(batch),
-            (0..batches_per_cluster).map(move |i| src.wire_batch(i, &cfg)),
-        );
+        let batches = (0..batches_per_cluster).map(|i| src.batch(i, &cfg));
         let out = match mid {
-            None => engine_b.train_streaming(spec.clone(), LossKind::Mse, 5e-3, rx),
+            None => engine_b.train(spec.clone(), LossKind::Mse, 5e-3, batches),
             Some(m) => engine_b
-                .finetune_streaming(m, LossKind::Mse, 5e-3, 2, rx)
+                .finetune(m, LossKind::Mse, 5e-3, 2, batches)
                 .expect("finetune"),
         };
-        h.join().unwrap();
         mid = Some(out.mid);
         losses_b.extend(out.losses);
     }

@@ -1,6 +1,5 @@
 //! Bridging relational rows and the AI engine: feature extraction,
-//! batching, and the two analytics execution paths the paper compares —
-//! NeurDB's streaming path and the PostgreSQL+P batch-export path.
+//! and batching into the training batches the AI engine consumes.
 
 use neurdb_engine::streaming::DataBatch;
 use neurdb_nn::{encode_batch, ArmNetConfig, Matrix};
@@ -91,7 +90,7 @@ impl Standardizer {
     }
 }
 
-/// Chop examples into wire batches for the streaming protocol.
+/// Chop examples into training batches of `batch_size` rows.
 pub fn make_batches(
     xs: &[Vec<u64>],
     ys: &[f32],

@@ -4,18 +4,17 @@
 //! Both systems process the *same* row stream (identical generator seeds);
 //! they differ only in the execution path, mirroring the paper's setup:
 //!
-//! * **NeurDB** — the in-database streaming protocol: the dispatcher
-//!   extracts features and binary-encodes batches while the AI runtime
-//!   trains concurrently, so data preparation overlaps computation and no
-//!   client protocol is crossed;
+//! * **NeurDB** — the in-database streaming path: a producer thread
+//!   generates rows and extracts features batch by batch while the AI
+//!   runtime trains on the batches it hands over, so data preparation
+//!   overlaps computation and no client protocol is crossed;
 //! * **PostgreSQL+P** — the out-of-database baseline: every batch is
 //!   exported through a client protocol (row-wise *text* serialization,
 //!   driver-side parsing — the psycopg path the paper's baseline uses),
 //!   then copied into tensors; training starts only after the full export
 //!   finishes, with the whole dataset staged in memory.
 
-use neurdb_engine::streaming::{stream_from_source, DataBatch, Handshake, StreamParams};
-use neurdb_engine::{AiEngine, TrainOutcome};
+use neurdb_engine::{stream_from_source, AiEngine, DataBatch, TrainOutcome};
 use neurdb_nn::{
     armnet_spec, encode_batch, ArmNetConfig, LossKind, Matrix, Model, OptimConfig, Trainer,
 };
@@ -106,9 +105,9 @@ impl RowSource {
         }
     }
 
-    /// Materialize batch `i` as a wire batch (feature extraction + binary
-    /// encode — the in-database path's per-batch work).
-    pub fn wire_batch(&self, i: usize, cfg: &ArmNetConfig) -> DataBatch {
+    /// Materialize batch `i` as a training batch (row generation + feature
+    /// extraction — the in-database path's per-batch work).
+    pub fn batch(&self, i: usize, cfg: &ArmNetConfig) -> DataBatch {
         let (xs, ys) = self.generate(i);
         DataBatch {
             features: encode_batch(&xs, cfg),
@@ -117,7 +116,7 @@ impl RowSource {
     }
 }
 
-/// Eagerly build all wire batches (used by the drift experiments where
+/// Eagerly build all training batches (used by the drift experiments where
 /// both compared variants consume identical pre-built streams).
 pub fn build_batches(
     workload: AnalyticsWorkload,
@@ -134,7 +133,7 @@ pub fn build_batches(
         seed,
     };
     let cfg = workload.config();
-    (0..n_batches).map(|i| src.wire_batch(i, &cfg)).collect()
+    (0..n_batches).map(|i| src.batch(i, &cfg)).collect()
 }
 
 // ----------------- the client protocol (PostgreSQL+P) ------------------
@@ -182,8 +181,9 @@ pub fn from_text_protocol(text: &str) -> (Vec<Vec<u64>>, Vec<f32>) {
 }
 
 /// Run the workload on the **NeurDB** path: the producer thread does the
-/// per-batch data work (generate → extract → binary-encode) while the AI
-/// runtime trains — the streaming protocol's pipelining.
+/// per-batch data work (generate → extract) while the AI runtime trains —
+/// the streaming protocol's pipelining, with at most `window` batches in
+/// flight.
 pub fn run_neurdb(
     engine: &AiEngine,
     workload: AnalyticsWorkload,
@@ -192,16 +192,9 @@ pub fn run_neurdb(
     lr: f32,
 ) -> TrainOutcome {
     let cfg = workload.config();
-    let hs = Handshake {
-        model_descriptor: format!("armnet:{}", workload.label()),
-        params: StreamParams {
-            batch_size: src.batch_size,
-            window,
-        },
-    };
     let n = src.n_batches;
-    let (rx, producer) = stream_from_source(&hs, (0..n).map(move |i| src.wire_batch(i, &cfg)));
-    let outcome = engine.train_streaming(armnet_spec(&cfg), workload.loss(), lr, rx);
+    let (rx, producer) = stream_from_source(window, (0..n).map(move |i| src.batch(i, &cfg)));
+    let outcome = engine.train(armnet_spec(&cfg), workload.loss(), lr, rx.iter());
     producer.join().expect("producer thread");
     outcome
 }
@@ -244,9 +237,9 @@ pub fn run_pgp(
                 features: encode_batch(&xs2, &cfg),
                 targets: Matrix::from_vec(ys2.len(), 1, ys2),
             };
-            // Driver -> tensor boundary: one more binary copy (fetchall
-            // rows are not tensor-layout; frameworks copy on ingest).
-            DataBatch::decode(&b.encode())
+            // Driver -> tensor boundary: one more copy (fetchall rows are
+            // not tensor-layout; frameworks copy on ingest).
+            b.clone()
         })
         .collect();
     let wait = t0.elapsed().as_secs_f64();

@@ -29,7 +29,6 @@ use crate::planner::{
 use crate::session::SessionContext;
 use crate::transactions::{CcState, SessionTxn};
 use neurdb_cc::PolicyMode;
-use neurdb_engine::streaming::{stream_from_source, Handshake, StreamParams};
 use neurdb_engine::{AiEngine, Mid, TrainOutcome};
 use neurdb_nn::{armnet_spec, ArmNetConfig, LossKind};
 use neurdb_obs::trace::{self, FinishedTrace, Tracer};
@@ -261,8 +260,6 @@ pub struct Database {
     /// bounded ring behind `SHOW TRACES` / `SHOW TRACE <id>`.
     tracer: Tracer,
     models: Arc<Mutex<HashMap<(String, String), CachedModel>>>,
-    /// Streaming protocol defaults (paper: window 80, batch 4096).
-    pub stream_params: StreamParams,
     /// Learning rate for in-database training.
     pub learning_rate: f32,
     /// Minimum total samples a training task should consume; small tables
@@ -277,6 +274,9 @@ impl Default for Database {
 }
 
 impl Database {
+    /// Rows per training and fine-tuning batch (the paper's batch size).
+    pub const TRAIN_BATCH_ROWS: usize = 4096;
+
     /// A volatile in-memory database (no durability).
     pub fn new() -> Self {
         Self::with_buffer_capacity(4096)
@@ -366,10 +366,6 @@ impl Database {
             slow_log: Mutex::new(VecDeque::new()),
             tracer: Tracer::new(64),
             models: Arc::new(Mutex::new(HashMap::new())),
-            stream_params: StreamParams {
-                batch_size: 4096,
-                window: 80,
-            },
             learning_rate: 5e-3,
             train_sample_budget: 30_000,
         }
@@ -1621,7 +1617,7 @@ impl Database {
                     outputs: 1,
                 };
                 // The examples live only until they are batched.
-                let (std, batch_size, batches) = {
+                let (std, epochs, one_epoch) = {
                     // Gather training rows (WITH filters them).
                     let (xs, ys) = self.labeled_examples(
                         &stmt.table,
@@ -1638,30 +1634,19 @@ impl Database {
                         PredictTask::Regression => Standardizer::fit(&ys),
                         PredictTask::Classification => Standardizer::identity(),
                     };
-                    let batch_size = self.stream_params.batch_size.min(xs.len()).max(1);
-                    let one_epoch = make_batches(&xs, &ys, &cfg, batch_size, &std);
                     // Cycle small tables for several epochs so the sample
                     // budget is met (a single pass over a few hundred rows
                     // cannot converge).
-                    let epochs = (self.train_sample_budget / xs.len().max(1)).clamp(1, 100);
-                    let mut batches = Vec::with_capacity(one_epoch.len() * epochs);
-                    for _ in 0..epochs {
-                        batches.extend(one_epoch.iter().cloned());
-                    }
-                    (std, batch_size, batches)
+                    let epochs = (self.train_sample_budget / xs.len()).clamp(1, 100);
+                    let one_epoch = make_batches(&xs, &ys, &cfg, Self::TRAIN_BATCH_ROWS, &std);
+                    (std, epochs, one_epoch)
                 };
-                let hs = Handshake {
-                    model_descriptor: format!("armnet:{}:{}", stmt.table, stmt.target),
-                    params: StreamParams {
-                        batch_size,
-                        window: self.stream_params.window,
-                    },
-                };
-                let (rx, producer) = stream_from_source(&hs, batches.into_iter());
-                let outcome =
-                    self.ai
-                        .train_streaming(armnet_spec(&cfg), loss, self.learning_rate, rx);
-                producer.join().expect("stream producer");
+                let outcome = self.ai.train(
+                    armnet_spec(&cfg),
+                    loss,
+                    self.learning_rate,
+                    std::iter::repeat_n(&one_epoch, epochs).flatten(),
+                );
                 let mid = outcome.mid;
                 self.models.lock().insert(
                     key.clone(),
@@ -1799,29 +1784,19 @@ impl Database {
             .column_index(target)
             .ok_or_else(|| CoreError::UnknownColumn(target.to_string()))?;
         // The examples live only until they are batched.
-        let (batch_size, batches) = {
+        let batches = {
             let (xs, ys) = self.labeled_examples(table, None, &features, target_idx)?;
             if xs.is_empty() {
                 return Err(CoreError::Unsupported(
                     "no labeled rows to fine-tune on".into(),
                 ));
             }
-            let batch_size = self.stream_params.batch_size.min(xs.len()).max(1);
-            (batch_size, make_batches(&xs, &ys, &cfg, batch_size, &std))
+            make_batches(&xs, &ys, &cfg, Self::TRAIN_BATCH_ROWS, &std)
         };
-        let hs = Handshake {
-            model_descriptor: format!("finetune:{table}:{target}"),
-            params: StreamParams {
-                batch_size,
-                window: self.stream_params.window,
-            },
-        };
-        let (rx, producer) = stream_from_source(&hs, batches.into_iter());
         let frozen = neurdb_nn::armnet_finetune_from(&cfg);
         let outcome = self
             .ai
-            .finetune_streaming(mid, loss, self.learning_rate, frozen, rx)?;
-        producer.join().expect("stream producer");
+            .finetune(mid, loss, self.learning_rate, frozen, batches)?;
         // The sink logged the incremental-update event; make it durable
         // before reporting the new version to the caller.
         self.store.sync()?;

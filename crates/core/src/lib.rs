@@ -2,8 +2,8 @@
 //!
 //! The NeurDB-RS facade: a SQL database with the paper's in-database AI
 //! ecosystem wired in. Sessions parse standard DML/DDL plus the `PREDICT`
-//! extension; PREDICT statements scan training data, stream it to the AI
-//! engine through the data streaming protocol, train/serve ArmNet models
+//! extension; PREDICT statements read training data through the planner,
+//! hand its batches to the in-process AI engine, train/serve ArmNet models
 //! managed by the layered model storage, and return predictions as rows —
 //! the running example of paper Section 3.
 //!

@@ -1,18 +1,21 @@
 //! The AI engine: the AI runtime that runs training, fine-tuning and
 //! inference tasks (paper Section 4.1, Fig. 2).
 //!
-//! The database side dispatches each task itself: it streams data to the
-//! runtime through the [streaming protocol](crate::streaming) on a
-//! producer thread of the task. Fine-tuning runs with a frozen layer
-//! prefix and persists only the updated trailing layers through the
-//! [model manager](crate::model_manager) — the incremental update of
-//! Fig. 3.
+//! The runtime runs inside the database process: a training or
+//! fine-tuning task consumes any iterator of [`DataBatch`]es, owned or
+//! borrowed, so the database trains on the batches it already holds and
+//! a producer thread ([`stream_from_source`](crate::streaming::stream_from_source))
+//! is needed only where preparing a batch is work worth overlapping.
+//! Fine-tuning runs with a frozen layer prefix and persists only the
+//! updated trailing layers through the [model manager](crate::model_manager)
+//! — the incremental update of Fig. 3.
 
 use crate::model_manager::{Mid, ModelManager, VersionTs};
-use crate::streaming::StreamReceiver;
+use crate::streaming::DataBatch;
 use neurdb_nn::{LayerSpec, LossKind, Matrix, Model, OptimConfig, Trainer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::borrow::Borrow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -28,7 +31,9 @@ pub struct TrainOutcome {
     pub samples: usize,
     /// Wall-clock seconds spent inside `train_batch` (compute).
     pub compute_seconds: f64,
-    /// Wall-clock seconds spent waiting for data (stream stalls).
+    /// Wall-clock seconds spent in the batch iterator's `next()`: the
+    /// producer's stalls when the batches come from a stream, about zero
+    /// when they are already in memory.
     pub wait_seconds: f64,
     /// End-to-end seconds for the task.
     pub total_seconds: f64,
@@ -65,15 +70,14 @@ impl AiEngine {
         StdRng::seed_from_u64(self.rng_seed.fetch_add(1, Ordering::Relaxed))
     }
 
-    /// **Training task** over a data stream: the runtime trains while the
-    /// dispatcher keeps streaming (pipelined). Registers the final model
-    /// and returns the outcome.
-    pub fn train_streaming(
+    /// **Training task**: train a fresh model on `batches` in order.
+    /// Registers the final model and returns the outcome.
+    pub fn train(
         &self,
         spec: Vec<LayerSpec>,
         loss: LossKind,
         lr: f32,
-        mut rx: StreamReceiver,
+        batches: impl IntoIterator<Item = impl Borrow<DataBatch>>,
     ) -> TrainOutcome {
         let start = Instant::now();
         let mut rng = self.rng();
@@ -86,7 +90,7 @@ impl AiEngine {
                 ..Default::default()
             },
         );
-        let (losses, samples, compute, wait) = Self::consume(&mut trainer, &mut rx);
+        let (losses, samples, compute, wait) = Self::consume(&mut trainer, batches);
         let (mid, version) = self.models.register(spec, trainer.model.layer_states());
         TrainOutcome {
             mid,
@@ -100,15 +104,15 @@ impl AiEngine {
     }
 
     /// **Fine-tuning task**: materialize the latest version, freeze the
-    /// first `frozen_prefix` layers, train on the stream, persist only the
+    /// first `frozen_prefix` layers, train on `batches`, persist only the
     /// updated trailing layers (incremental version).
-    pub fn finetune_streaming(
+    pub fn finetune(
         &self,
         mid: Mid,
         loss: LossKind,
         lr: f32,
         frozen_prefix: usize,
-        mut rx: StreamReceiver,
+        batches: impl IntoIterator<Item = impl Borrow<DataBatch>>,
     ) -> Result<TrainOutcome, crate::model_manager::ModelError> {
         let start = Instant::now();
         let model = self.models.materialize_latest(mid)?;
@@ -122,7 +126,7 @@ impl AiEngine {
             },
         );
         trainer.set_frozen_prefix(frozen_prefix.min(n_layers));
-        let (losses, samples, compute, wait) = Self::consume(&mut trainer, &mut rx);
+        let (losses, samples, compute, wait) = Self::consume(&mut trainer, batches);
         let states = trainer.model.layer_states();
         let changed: Vec<(u32, Vec<u8>)> = (frozen_prefix..n_layers)
             .map(|lid| (lid as u32, states[lid].clone()))
@@ -160,16 +164,22 @@ impl AiEngine {
         Ok(model.forward(features))
     }
 
-    /// Shared consume loop: pulls batches, measuring stall vs compute time.
-    fn consume(trainer: &mut Trainer, rx: &mut StreamReceiver) -> (Vec<f32>, usize, f64, f64) {
+    /// Shared training loop: pulls batches, measuring the time spent in
+    /// `next()` (wait) vs in `train_batch` (compute).
+    fn consume(
+        trainer: &mut Trainer,
+        batches: impl IntoIterator<Item = impl Borrow<DataBatch>>,
+    ) -> (Vec<f32>, usize, f64, f64) {
+        let mut batches = batches.into_iter();
         let mut losses = Vec::new();
         let mut samples = 0usize;
         let mut compute = 0.0;
         let mut wait = 0.0;
         loop {
             let t0 = Instant::now();
-            let Some(batch) = rx.recv() else { break };
+            let Some(batch) = batches.next() else { break };
             wait += t0.elapsed().as_secs_f64();
+            let batch = batch.borrow();
             let t1 = Instant::now();
             let l = trainer.train_batch(&batch.features, &batch.targets);
             compute += t1.elapsed().as_secs_f64();
@@ -183,7 +193,7 @@ impl AiEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::streaming::{stream_from_source, DataBatch, Handshake, StreamParams};
+    use crate::streaming::stream_from_source;
     use neurdb_nn::mlp_spec;
 
     fn toy_batches(n: usize, rows: usize) -> Vec<DataBatch> {
@@ -207,21 +217,11 @@ mod tests {
             .collect()
     }
 
-    fn handshake() -> Handshake {
-        Handshake {
-            model_descriptor: "mlp".into(),
-            params: StreamParams {
-                batch_size: 32,
-                window: 8,
-            },
-        }
-    }
-
     #[test]
     fn streaming_training_learns_and_registers() {
         let engine = AiEngine::new();
-        let (rx, h) = stream_from_source(&handshake(), toy_batches(60, 32).into_iter());
-        let out = engine.train_streaming(mlp_spec(&[2, 16, 1]), LossKind::Mse, 0.01, rx);
+        let (rx, h) = stream_from_source(8, toy_batches(60, 32).into_iter());
+        let out = engine.train(mlp_spec(&[2, 16, 1]), LossKind::Mse, 0.01, rx.iter());
         h.join().unwrap();
         assert_eq!(out.samples, 60 * 32);
         assert!(out.losses.last().unwrap() < &(out.losses[0] * 0.5));
@@ -231,14 +231,15 @@ mod tests {
     #[test]
     fn finetune_creates_incremental_version() {
         let engine = AiEngine::new();
-        let (rx, h) = stream_from_source(&handshake(), toy_batches(30, 32).into_iter());
-        let out = engine.train_streaming(mlp_spec(&[2, 8, 1]), LossKind::Mse, 0.01, rx);
-        h.join().unwrap();
-        let (rx2, h2) = stream_from_source(&handshake(), toy_batches(10, 32).into_iter());
+        let out = engine.train(
+            mlp_spec(&[2, 8, 1]),
+            LossKind::Mse,
+            0.01,
+            toy_batches(30, 32),
+        );
         let ft = engine
-            .finetune_streaming(out.mid, LossKind::Mse, 0.01, 2, rx2)
+            .finetune(out.mid, LossKind::Mse, 0.01, 2, toy_batches(10, 32))
             .unwrap();
-        h2.join().unwrap();
         assert!(ft.version > out.version);
         // Frozen layer 0 shared between versions.
         let s1 = engine.models.layer_states_at(out.mid, out.version).unwrap();
@@ -250,9 +251,12 @@ mod tests {
     #[test]
     fn inference_and_time_travel() {
         let engine = AiEngine::new();
-        let (rx, h) = stream_from_source(&handshake(), toy_batches(40, 32).into_iter());
-        let out = engine.train_streaming(mlp_spec(&[2, 8, 1]), LossKind::Mse, 0.01, rx);
-        h.join().unwrap();
+        let out = engine.train(
+            mlp_spec(&[2, 8, 1]),
+            LossKind::Mse,
+            0.01,
+            toy_batches(40, 32),
+        );
         let x = Matrix::from_vec(1, 2, vec![0.4, -0.1]);
         let y = engine.infer(out.mid, &x).unwrap();
         assert!(

@@ -1,30 +1,14 @@
 //! Property-based tests for the AI engine: layered-version reconstruction
-//! and the streaming wire codec.
+//! and storage accounting.
 
-use neurdb_engine::streaming::DataBatch;
 use neurdb_engine::ModelManager;
-use neurdb_nn::{mlp_spec, Matrix, Model};
+use neurdb_nn::{mlp_spec, Model};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
-
-    /// The wire codec round-trips arbitrary batch shapes exactly.
-    #[test]
-    fn wire_codec_roundtrip(
-        rows in 1usize..64,
-        cols in 1usize..32,
-        seed in 0u64..10_000,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let b = DataBatch {
-            features: Matrix::xavier(rows, cols, &mut rng),
-            targets: Matrix::xavier(rows, 1, &mut rng),
-        };
-        prop_assert_eq!(DataBatch::decode(&b.encode()), b);
-    }
 
     /// Versioned reconstruction: after an arbitrary sequence of
     /// incremental updates, `layer_states_at(v)` returns, for every layer,

@@ -32,6 +32,9 @@ pub enum TxnError {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AbortReason {
     LockTimeout,
+    /// Two shared holders of a key both asked to upgrade it: neither can
+    /// get the lock while the other holds its share.
+    UpgradeDeadlock,
     WriteConflict,
     ReadValidation,
     SsiDangerousStructure,
@@ -61,36 +64,59 @@ struct LockWord {
     shared: HashSet<TxnId>,
     /// Exclusive holder.
     exclusive: Option<TxnId>,
+    /// A shared holder waiting to upgrade to exclusive. While it waits, no
+    /// new transaction takes a shared lock, so the holders drain.
+    upgrader: Option<TxnId>,
+}
+
+/// Answer to a lock request.
+#[derive(Debug, PartialEq, Eq)]
+enum Grant {
+    Granted,
+    Wait,
+    /// The request waits on a transaction that waits on it.
+    Deadlock,
 }
 
 impl LockWord {
     fn try_shared(&mut self, txn: TxnId) -> bool {
-        match self.exclusive {
-            Some(holder) if holder != txn => false,
-            _ => {
-                self.shared.insert(txn);
-                true
-            }
+        let blocked = self.exclusive.is_some_and(|holder| holder != txn)
+            || (self.upgrader.is_some_and(|u| u != txn) && !self.shared.contains(&txn));
+        if !blocked {
+            self.shared.insert(txn);
         }
+        !blocked
     }
 
-    fn try_exclusive(&mut self, txn: TxnId) -> bool {
-        let others_shared = self.shared.iter().any(|t| *t != txn);
-        match (self.exclusive, others_shared) {
-            (Some(holder), _) if holder != txn => false,
-            (_, true) => false,
-            _ => {
-                self.exclusive = Some(txn);
-                self.shared.remove(&txn);
-                true
-            }
+    fn try_exclusive(&mut self, txn: TxnId) -> Grant {
+        if self.exclusive.is_some_and(|holder| holder != txn) {
+            return Grant::Wait;
         }
+        if self.shared.iter().any(|t| *t != txn) {
+            if !self.shared.contains(&txn) {
+                return Grant::Wait;
+            }
+            // An upgrade: two upgraders each wait for the other's share.
+            if self.upgrader.is_some_and(|u| u != txn) {
+                return Grant::Deadlock;
+            }
+            self.upgrader = Some(txn);
+            return Grant::Wait;
+        }
+        self.exclusive = Some(txn);
+        self.shared.remove(&txn);
+        // Only a shared holder can be the upgrader, and `txn` is the last.
+        self.upgrader = None;
+        Grant::Granted
     }
 
     fn release(&mut self, txn: TxnId) {
         self.shared.remove(&txn);
         if self.exclusive == Some(txn) {
             self.exclusive = None;
+        }
+        if self.upgrader == Some(txn) {
+            self.upgrader = None;
         }
     }
 }
@@ -306,14 +332,22 @@ impl TxnEngine {
             {
                 let mut m = self.shard(key).map.lock();
                 let st = m.entry(key).or_default();
-                let ok = if exclusive {
+                let grant = if exclusive {
                     st.lock.try_exclusive(txn.id)
+                } else if st.lock.try_shared(txn.id) {
+                    Grant::Granted
                 } else {
-                    st.lock.try_shared(txn.id)
+                    Grant::Wait
                 };
-                if ok {
-                    txn.locks.insert(key);
-                    return Ok(());
+                match grant {
+                    Grant::Granted => {
+                        txn.locks.insert(key);
+                        return Ok(());
+                    }
+                    Grant::Deadlock => {
+                        return Err(TxnError::Abort(AbortReason::UpgradeDeadlock));
+                    }
+                    Grant::Wait => {}
                 }
             }
             if Instant::now() >= deadline {
@@ -743,6 +777,23 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(e.peek(1), Some((threads * per) as u64));
+    }
+
+    #[test]
+    fn second_upgrader_of_a_key_is_a_deadlock() {
+        let mut lock = LockWord::default();
+        assert!(lock.try_shared(1) && lock.try_shared(2));
+        assert_eq!(lock.try_exclusive(1), Grant::Wait);
+        assert_eq!(lock.try_exclusive(2), Grant::Deadlock);
+        assert!(lock.try_shared(2), "a holder keeps its share");
+        assert!(
+            !lock.try_shared(3),
+            "a pending upgrade admits no new reader"
+        );
+        lock.release(2);
+        assert_eq!(lock.try_exclusive(1), Grant::Granted);
+        lock.release(1);
+        assert!(lock.try_shared(3) && lock.try_shared(4));
     }
 
     #[test]

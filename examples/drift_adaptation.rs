@@ -14,7 +14,6 @@
 
 use neurdb_cc::{run_learned_adaptive, AdaptConfig, LearnedCc, Phase};
 use neurdb_core::{build_batches, AnalyticsWorkload};
-use neurdb_engine::streaming::{stream_from_source, Handshake, StreamParams};
 use neurdb_engine::{Adaptation, AiEngine, DriftMonitor, MonitorConfig};
 use neurdb_nn::{armnet_finetune_from, armnet_spec, LossKind};
 use neurdb_txn::{EngineConfig, TxnEngine, TxnSpec};
@@ -22,25 +21,13 @@ use neurdb_workloads::{Ycsb, YcsbConfig};
 use std::sync::Arc;
 use std::time::Duration;
 
-fn hs(batch: usize) -> Handshake {
-    Handshake {
-        model_descriptor: "drift-demo".into(),
-        params: StreamParams {
-            batch_size: batch,
-            window: 8,
-        },
-    }
-}
-
 fn main() {
     // ---------- 1+2: analytics drift -------------------------------------
     println!("== analytics drift: Avazu C1 -> C2 ==");
     let engine = AiEngine::new();
     let cfg = AnalyticsWorkload::Ecommerce.config();
     let b0 = build_batches(AnalyticsWorkload::Ecommerce, 0, 40, 256, 1);
-    let (rx, h) = stream_from_source(&hs(256), b0.into_iter());
-    let out = engine.train_streaming(armnet_spec(&cfg), LossKind::Mse, 5e-3, rx);
-    h.join().unwrap();
+    let out = engine.train(armnet_spec(&cfg), LossKind::Mse, 5e-3, b0);
     println!(
         "trained on C1: {} samples, final loss {:.4}",
         out.samples,
@@ -77,11 +64,9 @@ fn main() {
     // Incremental update: freeze everything but the head.
     let frozen = armnet_finetune_from(&cfg);
     let c2_train = build_batches(AnalyticsWorkload::Ecommerce, 1, 40, 256, 3);
-    let (rx, h) = stream_from_source(&hs(256), c2_train.into_iter());
     let ft = engine
-        .finetune_streaming(out.mid, LossKind::Mse, 5e-3, frozen, rx)
+        .finetune(out.mid, LossKind::Mse, 5e-3, frozen, c2_train)
         .unwrap();
-    h.join().unwrap();
     println!(
         "fine-tuned layers {}.. in {:.3}s; loss {:.4} -> {:.4}",
         frozen,

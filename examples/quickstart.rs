@@ -57,7 +57,7 @@ fn main() {
     };
     if let Some(t) = &p.train_outcome {
         println!(
-            "\ntrained model {} in {:.3}s over {} samples (streaming protocol, final loss {:.4})",
+            "\ntrained model {} in {:.3}s over {} samples (final loss {:.4})",
             p.mid,
             t.total_seconds,
             t.samples,

@@ -4,19 +4,8 @@
 //! integration.
 
 use neurdb_core::{build_batches, AnalyticsWorkload};
-use neurdb_engine::streaming::{stream_from_source, Handshake, StreamParams};
 use neurdb_engine::{Adaptation, AiEngine, DriftMonitor, MonitorConfig};
 use neurdb_nn::{armnet_finetune_from, armnet_spec, LossKind};
-
-fn handshake(batch: usize) -> Handshake {
-    Handshake {
-        model_descriptor: "drift-test".into(),
-        params: StreamParams {
-            batch_size: batch,
-            window: 8,
-        },
-    }
-}
 
 #[test]
 fn incremental_update_recovers_after_cluster_switch() {
@@ -24,9 +13,7 @@ fn incremental_update_recovers_after_cluster_switch() {
     let cfg = AnalyticsWorkload::Ecommerce.config();
     // Train on cluster 0.
     let b0 = build_batches(AnalyticsWorkload::Ecommerce, 0, 20, 64, 1);
-    let (rx, h) = stream_from_source(&handshake(64), b0.into_iter());
-    let out = engine.train_streaming(armnet_spec(&cfg), LossKind::Mse, 5e-3, rx);
-    h.join().unwrap();
+    let out = engine.train(armnet_spec(&cfg), LossKind::Mse, 5e-3, b0);
     let mid = out.mid;
     // Loss on cluster 1 *before* adaptation (stale model).
     let eval_batches = build_batches(AnalyticsWorkload::Ecommerce, 1, 4, 64, 2);
@@ -41,11 +28,9 @@ fn incremental_update_recovers_after_cluster_switch() {
     let stale_loss = loss_of(&engine, mid);
     // Incremental update on cluster 1 data (fine-tune trailing layers).
     let b1 = build_batches(AnalyticsWorkload::Ecommerce, 1, 20, 64, 3);
-    let (rx, h) = stream_from_source(&handshake(64), b1.into_iter());
     let ft = engine
-        .finetune_streaming(mid, LossKind::Mse, 5e-3, armnet_finetune_from(&cfg), rx)
+        .finetune(mid, LossKind::Mse, 5e-3, armnet_finetune_from(&cfg), b1)
         .unwrap();
-    h.join().unwrap();
     let adapted_loss = loss_of(&engine, mid);
     assert!(
         adapted_loss < stale_loss,
@@ -61,9 +46,7 @@ fn monitor_detects_cluster_switch_from_loss_stream() {
     let engine = AiEngine::new();
     let cfg = AnalyticsWorkload::Ecommerce.config();
     let b0 = build_batches(AnalyticsWorkload::Ecommerce, 0, 30, 64, 4);
-    let (rx, h) = stream_from_source(&handshake(64), b0.into_iter());
-    let out = engine.train_streaming(armnet_spec(&cfg), LossKind::Mse, 5e-3, rx);
-    h.join().unwrap();
+    let out = engine.train(armnet_spec(&cfg), LossKind::Mse, 5e-3, b0);
     // Feed the monitor converged losses, then drifted-cluster losses.
     let mut monitor = DriftMonitor::new(MonitorConfig {
         window: 5,
@@ -98,17 +81,13 @@ fn storage_report_reflects_incremental_versions() {
     let engine = AiEngine::new();
     let cfg = AnalyticsWorkload::Healthcare.config();
     let b = build_batches(AnalyticsWorkload::Healthcare, 0, 10, 32, 6);
-    let (rx, h) = stream_from_source(&handshake(32), b.into_iter());
-    let out = engine.train_streaming(armnet_spec(&cfg), LossKind::Bce, 5e-3, rx);
-    h.join().unwrap();
+    let out = engine.train(armnet_spec(&cfg), LossKind::Bce, 5e-3, b);
     // Five incremental updates.
     for i in 0..5 {
         let b = build_batches(AnalyticsWorkload::Healthcare, 0, 4, 32, 7 + i);
-        let (rx, h) = stream_from_source(&handshake(32), b.into_iter());
         engine
-            .finetune_streaming(out.mid, LossKind::Bce, 5e-3, armnet_finetune_from(&cfg), rx)
+            .finetune(out.mid, LossKind::Bce, 5e-3, armnet_finetune_from(&cfg), b)
             .unwrap();
-        h.join().unwrap();
     }
     let report = engine.models.storage_report();
     assert_eq!(report.versions, 6);

@@ -6,7 +6,6 @@ use neurdb_core::{
     eval_predicate, extract_examples, make_batches, Bindings, Database, Output, SessionContext,
     Standardizer,
 };
-use neurdb_engine::streaming::{stream_from_source, Handshake};
 use neurdb_engine::AiEngine;
 use neurdb_nn::{armnet_finetune_from, armnet_spec, ArmNetConfig, LossKind};
 use neurdb_sql::{parse, Statement};
@@ -105,6 +104,32 @@ fn predictions_track_training_signal() {
         mean_for(5),
         mean_for(1)
     );
+}
+
+/// A training PREDICT cycles its examples for
+/// `clamp(train_sample_budget / rows, 1, 100)` epochs, one batch per
+/// epoch on a small table; a fine-tune makes exactly one pass.
+#[test]
+fn training_cycles_epochs_to_the_sample_budget_and_finetunes_once() {
+    // review_db(300): brand0's 60 rows have no score, so 240 are labelled.
+    let labelled = 240;
+    for (budget, epochs) in [(30_000, 100), (1_000, 4), (100, 1)] {
+        let mut db = review_db(300);
+        db.train_sample_budget = budget;
+        let Output::Prediction(p) = db
+            .execute("PREDICT VALUE OF score FROM review TRAIN ON *")
+            .unwrap()
+        else {
+            panic!("expected a prediction")
+        };
+        let trained = p.train_outcome.expect("the first PREDICT trains");
+        assert_eq!(trained.samples, epochs * labelled, "budget {budget}");
+        assert_eq!(trained.losses.len(), epochs, "budget {budget}");
+        db.execute("INSERT INTO review VALUES (300, 'brand1', 3, 3.0)")
+            .unwrap();
+        let tuned = db.finetune("review", "score").unwrap();
+        assert_eq!((tuned.samples, tuned.losses.len()), (labelled + 1, 1));
+    }
 }
 
 #[test]
@@ -394,33 +419,37 @@ fn heap_scan_reference(first: &[String], more: &[String], with: &str) -> Vec<Vec
         hidden: 64,
         outputs: 1,
     };
-    let stream = |xs: &[Vec<u64>], ys: &[f32], std: &Standardizer, epochs: usize| {
-        let mut hs = Handshake {
-            model_descriptor: "reference".into(),
-            params: db.stream_params,
-        };
-        hs.params.batch_size = db.stream_params.batch_size.min(xs.len());
-        let one_epoch = make_batches(xs, ys, &cfg, hs.params.batch_size, std);
-        let batches: Vec<_> = (0..epochs).flat_map(|_| one_epoch.clone()).collect();
-        stream_from_source(&hs, batches.into_iter())
+    let batches = |xs: &[Vec<u64>], ys: &[f32], std: &Standardizer, epochs: usize| {
+        let batch_size = Database::TRAIN_BATCH_ROWS.min(xs.len());
+        let one_epoch = make_batches(xs, ys, &cfg, batch_size, std);
+        (0..epochs)
+            .flat_map(|_| one_epoch.clone())
+            .collect::<Vec<_>>()
     };
     let (xs, ys) = heap_scan_examples(&db, Some(with));
     let std = Standardizer::fit(&ys);
     let epochs = (db.train_sample_budget / xs.len()).clamp(1, 100);
-    let (rx, producer) = stream(&xs, &ys, &std, epochs);
-    let trained = engine.train_streaming(armnet_spec(&cfg), LossKind::Mse, db.learning_rate, rx);
-    producer.join().unwrap();
+    let trained = engine.train(
+        armnet_spec(&cfg),
+        LossKind::Mse,
+        db.learning_rate,
+        batches(&xs, &ys, &std, epochs),
+    );
     for sql in more {
         db.execute(sql).unwrap();
     }
     for _ in 0..2 {
         let (xs, ys) = heap_scan_examples(&db, None);
-        let (rx, producer) = stream(&xs, &ys, &std, 1);
         let frozen = armnet_finetune_from(&cfg);
         engine
-            .finetune_streaming(trained.mid, LossKind::Mse, db.learning_rate, frozen, rx)
+            .finetune(
+                trained.mid,
+                LossKind::Mse,
+                db.learning_rate,
+                frozen,
+                batches(&xs, &ys, &std, 1),
+            )
             .unwrap();
-        producer.join().unwrap();
     }
     version_bytes(&engine, trained.mid)
 }
