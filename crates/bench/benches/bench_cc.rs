@@ -1,4 +1,4 @@
-//! Fig. 7(a) as a Criterion bench plus ablation 3 (DESIGN.md §5): the
+//! Fig. 7(a) as a Criterion bench plus an ablation of the learned CC: the
 //! contention-state encoding. Measures per-policy YCSB throughput and the
 //! learned CC's decision latency (which must stay off the critical path —
 //! the reason the paper compresses the model).

@@ -1,5 +1,5 @@
-//! Ablation 2 (DESIGN.md §5): incremental update depth. Varies the frozen
-//! prefix of the fine-tuned ArmNet — 0 frozen layers is full retraining,
+//! Incremental update depth (ARCHITECTURE.md, "AI engine"). Varies the
+//! frozen prefix of the fine-tuned ArmNet — 0 frozen layers is full retraining,
 //! `n-1` is head-only tuning — measuring adaptation wall-clock. Then the
 //! head-only fine-tune that `Database::finetune` runs, over 20k rows of
 //! few distinct values and over 20k distinct rows (the frozen prefix runs
@@ -7,7 +7,7 @@
 //! model (dis)assembly through the layered model storage.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use neurdb_core::{build_batches, AnalyticsWorkload};
+use neurdb_bench::{build_batches, AnalyticsWorkload};
 use neurdb_engine::{AiEngine, DataBatch};
 use neurdb_nn::{armnet_finetune_from, armnet_spec, encode_batch, ArmNetConfig, LossKind, Matrix};
 use rand::rngs::StdRng;

@@ -1,4 +1,4 @@
-//! Fig. 8 as a Criterion bench plus ablation 4 (DESIGN.md §5): optimizer
+//! Fig. 8 as a Criterion bench plus an ablation of NeurQO: optimizer
 //! planning time per STATS query, and the dual-module model with vs
 //! without the system-condition input (conditions matter under drift).
 

@@ -11,15 +11,17 @@
 //! Subcommands: `table1 fig6a fig6b fig6c fig7a fig7b fig8 all`.
 //! Scale-sensitive experiments accept `--quick` for a fast smoke run.
 
+use neurdb_bench::{build_batches, load_table, run_neurdb, run_pgp, AnalyticsWorkload, Fig6Run};
 use neurdb_cc::{
     run_learned_adaptive, run_polyjuice_adaptive, AdaptConfig, LearnedCc, Phase, PolyjuiceCc,
 };
-use neurdb_core::{run_neurdb, run_pgp, AnalyticsWorkload, RowSource};
+use neurdb_core::Database;
 use neurdb_engine::AiEngine;
 use neurdb_nn::{armnet_spec, LossKind};
 use neurdb_qo::{
     latency_of, BaoOptimizer, CostBasedOptimizer, LeroOptimizer, NeurQo, Optimizer, PretrainConfig,
 };
+use neurdb_server::{Server, ServerConfig};
 use neurdb_sql::parse;
 use neurdb_txn::{run_workload, EngineConfig, Ssi, TxnEngine};
 use neurdb_workloads::{
@@ -87,42 +89,103 @@ fn table1() {
     }
 }
 
+/// One Fig. 6 round: load `n_batches × batch` generated rows of `w` into
+/// a fresh database (untimed), then time both sides on it, the NeurDB
+/// side first when `neurdb_first`. Returns `(neurdb, pg+p)`.
+fn fig6_round(
+    w: AnalyticsWorkload,
+    n_batches: usize,
+    batch: usize,
+    seed: u64,
+    neurdb_first: bool,
+) -> (Fig6Run, Fig6Run) {
+    let db = Arc::new(Database::new());
+    let row = load_table(&db, w, n_batches, batch, seed);
+    let pgp = || {
+        let server = Server::start(db.clone(), "127.0.0.1:0", ServerConfig::default())
+            .expect("start server");
+        let run = run_pgp(server.local_addr(), &db, w, &row);
+        server.shutdown();
+        run
+    };
+    if neurdb_first {
+        let n = run_neurdb(&db, w, &row);
+        (n, pgp())
+    } else {
+        let p = pgp();
+        (run_neurdb(&db, w, &row), p)
+    }
+}
+
+/// `rounds` Fig. 6 rounds alternating which side runs first, each
+/// round's latencies on stderr; returns the median latency of each side,
+/// the median NeurDB throughput gain, and whether every round trained
+/// bit-identical models on both sides.
+fn fig6_rounds(
+    w: AnalyticsWorkload,
+    n_batches: usize,
+    batch: usize,
+    seed: u64,
+    rounds: usize,
+) -> (f64, f64, f64, bool) {
+    let (mut n_lat, mut p_lat, mut gain) = (Vec::new(), Vec::new(), Vec::new());
+    let mut same = true;
+    for r in 0..rounds {
+        let (n, p) = fig6_round(w, n_batches, batch, seed, r % 2 == 0);
+        same &= n.losses == p.losses && n.layers == p.layers;
+        eprintln!(
+            "  {} {} rows, round {} ({} first): neurdb {:.3} s, pg+p {:.3} s",
+            w.label(),
+            n_batches * batch,
+            r + 1,
+            if r % 2 == 0 { "neurdb" } else { "pg+p" },
+            n.seconds,
+            p.seconds
+        );
+        n_lat.push(n.seconds);
+        p_lat.push(p.seconds);
+        gain.push(n.throughput() / p.throughput());
+    }
+    (median(n_lat), median(p_lat), median(gain), same)
+}
+
+/// Rounds per Fig. 6 point in full mode (a `--quick` run takes one), so
+/// the medians stand against the host's run-to-run noise.
+const FIG6_FULL_ROUNDS: usize = 5;
+
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    let n = xs.len();
+    (xs[(n - 1) / 2] + xs[n / 2]) / 2.0
+}
+
 /// Fig. 6(a): end-to-end latency and training throughput, NeurDB vs
 /// PostgreSQL+P, workloads E and H.
 fn fig6a(quick: bool) {
     header("Fig 6(a): End-to-end analytics performance (NeurDB vs PostgreSQL+P)");
     let (n_batches, batch) = if quick { (10, 512) } else { (80, 4096) };
-    println!("({n_batches} batches x {batch} records, window 80)\n");
+    let rounds = if quick { 1 } else { FIG6_FULL_ROUNDS };
     println!(
-        "{:10} {:>14} {:>14} {:>10} {:>16} {:>16} {:>9}",
-        "workload",
-        "neurdb lat(s)",
-        "pg+p lat(s)",
-        "lat drop",
-        "neurdb thr(s/s)",
-        "pg+p thr(s/s)",
-        "thr gain"
+        "({} rows per table; NeurDB: Table 1's PREDICT ... TRAIN ON * VALUES (1 row); \
+         PostgreSQL+P: a wire client exports {}-row keyset pages and trains the same model; \
+         median of {rounds} round(s))\n",
+        n_batches * batch,
+        Database::TRAIN_BATCH_ROWS
+    );
+    println!(
+        "{:10} {:>14} {:>14} {:>10} {:>9} {:>11}",
+        "workload", "neurdb lat(s)", "pg+p lat(s)", "lat drop", "thr gain", "same model"
     );
     for w in [AnalyticsWorkload::Ecommerce, AnalyticsWorkload::Healthcare] {
-        let engine = AiEngine::new();
-        let src = RowSource {
-            workload: w,
-            cluster: 0,
-            n_batches,
-            batch_size: batch,
-            seed: 42,
-        };
-        let n = run_neurdb(&engine, w, src.clone(), 80, 5e-3);
-        let p = run_pgp(&engine, w, src, 5e-3);
+        let (n, p, gain, same) = fig6_rounds(w, n_batches, batch, 42, rounds);
         println!(
-            "{:10} {:>14.3} {:>14.3} {:>9.1}% {:>16.0} {:>16.0} {:>8.2}x",
+            "{:10} {:>14.3} {:>14.3} {:>9.1}% {:>8.2}x {:>11}",
             w.label(),
-            n.total_seconds,
-            p.total_seconds,
-            100.0 * (1.0 - n.total_seconds / p.total_seconds),
-            n.throughput(),
-            p.throughput(),
-            n.throughput() / p.throughput(),
+            n,
+            p,
+            100.0 * (1.0 - n / p),
+            gain,
+            if same { "yes" } else { "NO" },
         );
     }
     println!("\npaper: E 41.3% lower latency / 1.96x throughput; H 48.6% / 2.92x");
@@ -131,34 +194,26 @@ fn fig6a(quick: bool) {
 /// Fig. 6(b): latency vs number of data batches (workload E).
 fn fig6b(quick: bool) {
     header("Fig 6(b): Effects of data volume (workload E latency vs #batches)");
-    let sweep: &[usize] = if quick {
-        &[5, 10, 20]
+    let (sweep, batch): (&[usize], usize) = if quick {
+        (&[5, 10, 20], 512)
     } else {
-        &[20, 40, 80, 160, 320, 640]
+        (&[10, 20, 40, 80], 4096)
     };
-    let batch = if quick { 512 } else { 2048 };
-    println!("(batch size {batch}; paper uses 4096 — the series is volume scaling)\n");
+    let rounds = if quick { 1 } else { FIG6_FULL_ROUNDS };
+    println!("(batches of {batch} rows; median of {rounds} round(s))\n");
     println!(
-        "{:>10} {:>14} {:>14} {:>9}",
-        "#batches", "neurdb (s)", "pg+p (s)", "speedup"
+        "{:>10} {:>10} {:>14} {:>14} {:>9}",
+        "#batches", "rows", "neurdb (s)", "pg+p (s)", "speedup"
     );
     for &n_batches in sweep {
-        let engine = AiEngine::new();
-        let src = RowSource {
-            workload: AnalyticsWorkload::Ecommerce,
-            cluster: 0,
-            n_batches,
-            batch_size: batch,
-            seed: 7,
-        };
-        let n = run_neurdb(&engine, AnalyticsWorkload::Ecommerce, src.clone(), 80, 5e-3);
-        let p = run_pgp(&engine, AnalyticsWorkload::Ecommerce, src, 5e-3);
+        let (n, p, _, _) = fig6_rounds(AnalyticsWorkload::Ecommerce, n_batches, batch, 7, rounds);
         println!(
-            "{:>10} {:>14.3} {:>14.3} {:>8.2}x",
+            "{:>10} {:>10} {:>14.3} {:>14.3} {:>8.2}x",
             n_batches,
-            n.total_seconds,
-            p.total_seconds,
-            p.total_seconds / n.total_seconds
+            n_batches * batch,
+            n,
+            p,
+            p / n
         );
     }
     println!("\npaper: NeurDB consistently below PostgreSQL+P across data volumes");
@@ -175,20 +230,21 @@ fn fig6c(quick: bool) {
          retrains from scratch at each drift, 'with' fine-tunes the trailing \
          layers of the previous version — the paper's incremental update)\n"
     );
-    let cfg = AnalyticsWorkload::Ecommerce.config();
-    let spec = armnet_spec(&cfg);
+    let spec = armnet_spec(&AnalyticsWorkload::Ecommerce.config());
+    let batches = |cluster: usize| {
+        build_batches(
+            AnalyticsWorkload::Ecommerce,
+            cluster,
+            batches_per_cluster,
+            batch,
+            100 + cluster as u64,
+        )
+    };
     // Variant A: w/o incremental update — fresh model per cluster.
     let engine_a = AiEngine::new();
     let mut losses_a: Vec<f32> = Vec::new();
     for cluster in 0..5 {
-        let src = RowSource {
-            workload: AnalyticsWorkload::Ecommerce,
-            cluster,
-            n_batches: batches_per_cluster,
-            batch_size: batch,
-            seed: 100 + cluster as u64,
-        };
-        let batches = (0..batches_per_cluster).map(|i| src.batch(i, &cfg));
+        let batches = batches(cluster);
         let out = engine_a.train(spec.clone(), LossKind::Mse, 5e-3, batches);
         losses_a.extend(out.losses);
     }
@@ -197,14 +253,7 @@ fn fig6c(quick: bool) {
     let mut losses_b: Vec<f32> = Vec::new();
     let mut mid = None;
     for cluster in 0..5 {
-        let src = RowSource {
-            workload: AnalyticsWorkload::Ecommerce,
-            cluster,
-            n_batches: batches_per_cluster,
-            batch_size: batch,
-            seed: 100 + cluster as u64,
-        };
-        let batches = (0..batches_per_cluster).map(|i| src.batch(i, &cfg));
+        let batches = batches(cluster);
         let out = match mid {
             None => engine_b.train(spec.clone(), LossKind::Mse, 5e-3, batches),
             Some(m) => engine_b

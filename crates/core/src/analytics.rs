@@ -1,7 +1,7 @@
 //! Bridging relational rows and the AI engine: feature extraction,
 //! and batching into the training batches the AI engine consumes.
 
-use neurdb_engine::streaming::DataBatch;
+use neurdb_engine::DataBatch;
 use neurdb_nn::{encode_batch, ArmNetConfig, Matrix};
 use neurdb_storage::{Tuple, Value};
 

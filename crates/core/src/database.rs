@@ -160,7 +160,7 @@ pub(crate) fn dml_candidates(
 ) -> CoreResult<Vec<(RecordId, Tuple)>> {
     let conj = predicate.map(conjuncts).unwrap_or_default();
     let choice = match conj.iter().all(|c| resolvable(c, env)) {
-        true => choose_index(t, env, &conj, t.cached_stats().as_deref()),
+        true => choose_index(t, env, &conj, &mut t.cached_stats()),
         false => None,
     };
     let cursor = choice.and_then(|ic| t.index_scan(ic.col, ic.lo.as_ref(), ic.hi.as_ref()));
@@ -276,6 +276,25 @@ impl Default for Database {
 impl Database {
     /// Rows per training and fine-tuning batch (the paper's batch size).
     pub const TRAIN_BATCH_ROWS: usize = 4096;
+
+    /// The ArmNet a training PREDICT builds over `nfields` feature
+    /// columns.
+    pub fn predict_model_config(nfields: usize) -> ArmNetConfig {
+        ArmNetConfig {
+            nfields,
+            vocab: 2048,
+            embed_dim: 8,
+            hidden: 64,
+            outputs: 1,
+        }
+    }
+
+    /// Epochs a training PREDICT runs over `rows` examples: small tables
+    /// cycle until [`Database::train_sample_budget`] samples are met (a
+    /// single pass over a few hundred rows cannot converge), at most 100.
+    pub fn train_epochs(&self, rows: usize) -> usize {
+        (self.train_sample_budget / rows.max(1)).clamp(1, 100)
+    }
 
     /// A volatile in-memory database (no durability).
     pub fn new() -> Self {
@@ -1609,13 +1628,7 @@ impl Database {
                 ))
             }
             None => {
-                let cfg = ArmNetConfig {
-                    nfields: features.len(),
-                    vocab: 2048,
-                    embed_dim: 8,
-                    hidden: 64,
-                    outputs: 1,
-                };
+                let cfg = Self::predict_model_config(features.len());
                 // The examples live only until they are batched.
                 let (std, epochs, one_epoch) = {
                     // Gather training rows (WITH filters them).
@@ -1634,10 +1647,7 @@ impl Database {
                         PredictTask::Regression => Standardizer::fit(&ys),
                         PredictTask::Classification => Standardizer::identity(),
                     };
-                    // Cycle small tables for several epochs so the sample
-                    // budget is met (a single pass over a few hundred rows
-                    // cannot converge).
-                    let epochs = (self.train_sample_budget / xs.len()).clamp(1, 100);
+                    let epochs = self.train_epochs(xs.len());
                     let one_epoch = make_batches(&xs, &ys, &cfg, Self::TRAIN_BATCH_ROWS, &std);
                     (std, epochs, one_epoch)
                 };

@@ -25,7 +25,6 @@
 //! ```
 
 pub mod analytics;
-pub mod compare;
 pub mod database;
 pub mod durability;
 pub mod error;
@@ -37,10 +36,6 @@ pub mod transactions;
 pub mod vector;
 
 pub use analytics::{extract_examples, make_batches, value_to_field, Standardizer};
-pub use compare::{
-    build_batches, compare, from_text_protocol, run_neurdb, run_pgp, to_text_protocol,
-    AnalyticsWorkload, ComparisonRow, RowSource,
-};
 pub use database::{Database, Output, PredictionReport, SlowQueryEntry};
 pub use durability::{BindingMeta, SnapshotBinding};
 pub use error::{CoreError, CoreResult};

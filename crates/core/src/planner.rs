@@ -410,14 +410,17 @@ pub(crate) struct IndexChoice {
 /// Bounds are accumulated across conjuncts on the same column
 /// (`a > 5 AND a < 9` becomes one `[5, 9]` cursor); strict bounds stay
 /// inclusive here because the scan re-applies every conjunct as a
-/// residual filter. SELECT scans and DML candidate collection
-/// ([`crate::database::dml_candidates`]) both pick their access path
-/// here.
+/// residual filter. A range bound on an indexed column with no `stats`
+/// builds the table's statistics into `stats` (one scan, then kept
+/// current by writes), since a range cannot be estimated blind; an
+/// equality probe never pays for a build. SELECT scans and DML
+/// candidate collection ([`crate::database::dml_candidates`]) both pick
+/// their access path here.
 pub(crate) fn choose_index(
     table: &Table,
     env: &Bindings,
     predicates: &[Expr],
-    stats: Option<&TableStats>,
+    stats: &mut Option<Arc<TableStats>>,
 ) -> Option<IndexChoice> {
     let mut best: Option<IndexChoice> = None;
     for col in table.indexed_columns() {
@@ -454,7 +457,10 @@ pub(crate) fn choose_index(
         if lo.is_none() && hi.is_none() {
             continue;
         }
-        let sel = match stats.and_then(|st| st.columns.get(col)) {
+        if !has_eq && stats.is_none() {
+            *stats = table.stats().ok();
+        }
+        let sel = match stats.as_deref().and_then(|st| st.columns.get(col)) {
             Some(cs) => {
                 if has_eq {
                     cs.eq_selectivity(lo.as_ref().expect("eq sets both bounds"))
@@ -465,7 +471,8 @@ pub(crate) fn choose_index(
                     )
                 }
             }
-            // Blind: trust equality probes, refuse blind range scans.
+            // Blind: trust equality probes; a range whose stats build
+            // failed keeps the sweep.
             None if has_eq => BLIND_EQ_SEL,
             None => continue,
         };
@@ -512,8 +519,9 @@ struct ScanInfo {
     env: Bindings,
     predicates: Vec<Expr>,
     /// Always built for multi-table queries. Single-table plans take the
-    /// cache only (writes keep it current) and never pay a build (an
-    /// O(table) scan) for an estimate that is cosmetic there.
+    /// cache (writes keep it current) and pay a build (an O(table) scan)
+    /// only for a range over an indexed column ([`choose_index`]), where
+    /// the estimate picks the access path.
     stats: Option<Arc<TableStats>>,
     est_rows: f64,
     /// Indexed access path, when one wins over the sequential sweep.
@@ -562,8 +570,9 @@ pub(crate) fn plan_select_overlaid(
 
     // 1. Scans with predicate pushdown and cardinality estimates. Column
     //    statistics are built (a full scan, on first use or once writes
-    //    pass the table's rebuild threshold) only when a join graph will
-    //    consume them; otherwise the write-maintained cache is used.
+    //    pass the table's rebuild threshold) when a join graph will
+    //    consume them or a range over an indexed column needs an
+    //    estimate; otherwise the write-maintained cache is used.
     let need_stats = tables.len() >= 2;
     let mut scans: Vec<ScanInfo> = Vec::with_capacity(tables.len());
     for (i, (binding, table)) in tables.iter().enumerate() {
@@ -574,8 +583,8 @@ pub(crate) fn plan_select_overlaid(
             stats: if need_stats {
                 Some(table.stats()?)
             } else {
-                // Cosmetic estimate only: take the cache if it is warm,
-                // never pay a build (a full scan) for it.
+                // Take the cache if it is warm; only `choose_index`
+                // builds, for a range over an indexed column.
                 table.cached_stats()
             },
             table: table.clone(),
@@ -595,6 +604,10 @@ pub(crate) fn plan_select_overlaid(
                 scan.predicates.push(c.clone());
             }
         }
+        // Access path: a selective indexed predicate beats the sweep; a
+        // big sweep fans out to morsel workers. It goes first because a
+        // range over an indexed column builds the stats it estimates with.
+        scan.index = choose_index(&scan.table, &scan.env, &scan.predicates, &mut scan.stats);
         let mut sel = 1.0;
         for p in &scan.predicates {
             sel *= match &scan.stats {
@@ -609,14 +622,6 @@ pub(crate) fn plan_select_overlaid(
             None => scan.table.num_pages() as f64 * ROWS_PER_PAGE_GUESS,
         };
         scan.est_rows = input_rows * sel;
-        // Access path: a selective indexed predicate beats the sweep; a
-        // big sweep fans out to morsel workers.
-        scan.index = choose_index(
-            &scan.table,
-            &scan.env,
-            &scan.predicates,
-            scan.stats.as_deref(),
-        );
         scan.dop = match (&scan.index, &scan.overlay) {
             (None, None) => scan_dop(&scan.table, input_rows, config),
             _ => 1,

@@ -1,17 +1,16 @@
 //! The AI engine: the AI runtime that runs training, fine-tuning and
 //! inference tasks (paper Section 4.1, Fig. 2).
 //!
-//! The runtime runs inside the database process: a training or
-//! fine-tuning task consumes any iterator of [`DataBatch`]es, owned or
-//! borrowed, so the database trains on the batches it already holds and
-//! a producer thread ([`stream_from_source`](crate::streaming::stream_from_source))
-//! is needed only where preparing a batch is work worth overlapping.
-//! Fine-tuning runs with a frozen layer prefix and persists only the
-//! updated trailing layers through the [model manager](crate::model_manager)
-//! — the incremental update of Fig. 3.
+//! The runtime runs inside the database process. In the paper it is a
+//! separate process fed by a streaming protocol (Section 4.1); here a
+//! training or fine-tuning task consumes any iterator of [`DataBatch`]es,
+//! owned or borrowed, so the database trains on the batches it already
+//! holds, with no encoding and no thread. Fine-tuning runs with a frozen
+//! layer prefix and persists only the updated trailing layers through
+//! the [model manager](crate::model_manager) — the incremental update of
+//! Fig. 3.
 
 use crate::model_manager::{Mid, ModelManager, VersionTs};
-use crate::streaming::DataBatch;
 use neurdb_nn::{LayerSpec, LossKind, Matrix, Model, OptimConfig, Trainer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -19,6 +18,19 @@ use std::borrow::Borrow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// One training batch: features and targets.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DataBatch {
+    pub features: Matrix,
+    pub targets: Matrix,
+}
+
+impl DataBatch {
+    pub fn rows(&self) -> usize {
+        self.features.rows
+    }
+}
 
 /// Outcome of a training or fine-tuning task.
 #[derive(Debug, Clone)]
@@ -31,9 +43,9 @@ pub struct TrainOutcome {
     pub samples: usize,
     /// Wall-clock seconds spent inside `train_batch` (compute).
     pub compute_seconds: f64,
-    /// Wall-clock seconds spent in the batch iterator's `next()`: the
-    /// producer's stalls when the batches come from a stream, about zero
-    /// when they are already in memory.
+    /// Wall-clock seconds spent in the batch iterator's `next()`: about
+    /// zero when the batches are already in memory, the preparation
+    /// itself when the iterator builds them lazily.
     pub wait_seconds: f64,
     /// End-to-end seconds for the task.
     pub total_seconds: f64,
@@ -193,7 +205,6 @@ impl AiEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::streaming::stream_from_source;
     use neurdb_nn::mlp_spec;
 
     fn toy_batches(n: usize, rows: usize) -> Vec<DataBatch> {
@@ -220,9 +231,8 @@ mod tests {
     #[test]
     fn streaming_training_learns_and_registers() {
         let engine = AiEngine::new();
-        let (rx, h) = stream_from_source(8, toy_batches(60, 32).into_iter());
-        let out = engine.train(mlp_spec(&[2, 16, 1]), LossKind::Mse, 0.01, rx.iter());
-        h.join().unwrap();
+        let batches = toy_batches(60, 32);
+        let out = engine.train(mlp_spec(&[2, 16, 1]), LossKind::Mse, 0.01, &batches);
         assert_eq!(out.samples, 60 * 32);
         assert!(out.losses.last().unwrap() < &(out.losses[0] * 0.5));
         assert_eq!(engine.models.num_models(), 1);

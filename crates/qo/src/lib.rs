@@ -14,7 +14,8 @@
 //! * [`BaoOptimizer`] / [`LeroOptimizer`] — frozen learned baselines.
 //!
 //! "Latency" is the plan's cost under **true** statistics — a simulator
-//! surrogate that preserves plan ranking (see DESIGN.md §2).
+//! surrogate that preserves plan ranking (ROADMAP.md item 10 replaces it
+//! with executed queries).
 
 pub mod baselines;
 pub mod graph;

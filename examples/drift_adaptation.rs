@@ -12,8 +12,8 @@
 //! cargo run --release --example drift_adaptation
 //! ```
 
+use neurdb_bench::{build_batches, AnalyticsWorkload};
 use neurdb_cc::{run_learned_adaptive, AdaptConfig, LearnedCc, Phase};
-use neurdb_core::{build_batches, AnalyticsWorkload};
 use neurdb_engine::{Adaptation, AiEngine, DriftMonitor, MonitorConfig};
 use neurdb_nn::{armnet_finetune_from, armnet_spec, LossKind};
 use neurdb_txn::{EngineConfig, TxnEngine, TxnSpec};

@@ -1,67 +1,61 @@
 //! The paper's E-commerce workload (Table 1, workload E): click-through
-//! rate prediction on the synthetic Avazu stream, comparing the NeurDB
-//! streaming path against the PostgreSQL+P batch-export baseline —
-//! a miniature of Fig. 6(a).
+//! rate prediction over an Avazu-like table, a miniature of Fig. 6(a).
+//!
+//! NeurDB answers Table 1's `PREDICT VALUE OF click_rate FROM avazu TRAIN
+//! ON * VALUES (…)` inside the database. The PostgreSQL+P baseline exports
+//! the same table over the wire protocol in keyset pages and trains the
+//! same model in the client. The two sides must train bit-identical
+//! models; the demo asserts it and prints both latencies.
 //!
 //! ```sh
 //! cargo run --release --example ecommerce_ctr
 //! ```
 
-use neurdb_core::{run_neurdb, run_pgp, AnalyticsWorkload, RowSource};
-use neurdb_engine::AiEngine;
+use neurdb_bench::{load_table, run_neurdb, run_pgp, AnalyticsWorkload};
+use neurdb_core::Database;
+use neurdb_server::{Server, ServerConfig};
+use std::sync::Arc;
 
 fn main() {
-    let n_batches = 40;
-    let batch_size = 1024;
-    let window = 16;
+    let (n_batches, batch_size) = (10, 1024);
+    let w = AnalyticsWorkload::Ecommerce;
+    let db = Arc::new(Database::new());
+    let row = load_table(&db, w, n_batches, batch_size, 7);
     println!(
-        "workload E: PREDICT VALUE OF click_rate FROM avazu TRAIN ON *  \
-         ({n_batches} batches x {batch_size} rows)"
+        "workload E: {} rows loaded into `{}`\n  {}",
+        n_batches * batch_size,
+        w.table(),
+        w.predict_sql(&row)
     );
 
-    let engine = AiEngine::new();
-    let src = RowSource {
-        workload: AnalyticsWorkload::Ecommerce,
-        cluster: 0,
-        n_batches,
-        batch_size,
-        seed: 7,
-    };
-
-    let neurdb = run_neurdb(
-        &engine,
-        AnalyticsWorkload::Ecommerce,
-        src.clone(),
-        window,
-        5e-3,
-    );
+    let neurdb = run_neurdb(&db, w, &row);
     println!(
-        "NeurDB (streaming):     latency {:>7.3}s  throughput {:>9.0} samples/s  \
-         (compute {:.3}s, stream-wait {:.3}s)",
-        neurdb.total_seconds,
+        "NeurDB (in-database PREDICT):  latency {:>7.3}s  throughput {:>9.0} samples/s  \
+         predicted click_rate {:.4}",
+        neurdb.seconds,
         neurdb.throughput(),
-        neurdb.compute_seconds,
-        neurdb.wait_seconds,
+        neurdb.prediction,
     );
 
-    let pgp = run_pgp(&engine, AnalyticsWorkload::Ecommerce, src, 5e-3);
+    let server =
+        Server::start(db.clone(), "127.0.0.1:0", ServerConfig::default()).expect("start server");
+    let pgp = run_pgp(server.local_addr(), &db, w, &row);
+    server.shutdown();
     println!(
-        "PostgreSQL+P (export):  latency {:>7.3}s  throughput {:>9.0} samples/s  \
-         (compute {:.3}s, export {:.3}s)",
-        pgp.total_seconds,
+        "PostgreSQL+P (wire export):    latency {:>7.3}s  throughput {:>9.0} samples/s  \
+         predicted click_rate {:.4}",
+        pgp.seconds,
         pgp.throughput(),
-        pgp.compute_seconds,
-        pgp.wait_seconds,
+        pgp.prediction,
     );
 
+    assert_eq!(neurdb.losses, pgp.losses, "both sides see the same batches");
+    assert_eq!(neurdb.layers, pgp.layers, "both sides train the same model");
     println!(
-        "\nNeurDB: {:.1}% lower end-to-end latency, {:.2}x higher training throughput",
-        100.0 * (1.0 - neurdb.total_seconds / pgp.total_seconds),
-        neurdb.throughput() / pgp.throughput(),
-    );
-    println!(
-        "final training loss: neurdb {:.4} vs pg+p {:.4} (same data, same model)",
+        "\nsame model on both sides ({} batches, final loss {:.4}); \
+         NeurDB latency {:+.1}% vs PostgreSQL+P",
+        neurdb.losses.len(),
         neurdb.losses.last().unwrap(),
-        pgp.losses.last().unwrap()
+        100.0 * (neurdb.seconds / pgp.seconds - 1.0),
     );
 }

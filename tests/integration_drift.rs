@@ -3,7 +3,7 @@
 //! recover the loss faster than a frozen model — plus drift-monitor
 //! integration.
 
-use neurdb_core::{build_batches, AnalyticsWorkload};
+use neurdb_bench::{build_batches, AnalyticsWorkload};
 use neurdb_engine::{Adaptation, AiEngine, DriftMonitor, MonitorConfig};
 use neurdb_nn::{armnet_finetune_from, armnet_spec, LossKind};
 

@@ -904,3 +904,46 @@ fn index_scan_chosen_for_selective_indexed_predicates() {
     let text = plan_text("EXPLAIN SELECT * FROM big WHERE grp = 3");
     assert!(text.contains("SeqScan(big)"), "{text}");
 }
+
+/// A range over an indexed column takes the index through SQL alone: the
+/// planner builds the statistics that estimate the range, where before it
+/// swept the heap until something outside SQL built them. An equality
+/// probe still plans blind and builds nothing.
+#[test]
+fn indexed_range_uses_index_after_a_bulk_load() {
+    let db = db_with_big_table(2000);
+    db.execute("CREATE INDEX ON big (id)").unwrap();
+    let explain = |sql: &str| -> String {
+        let out = db.execute(&format!("EXPLAIN {sql}")).unwrap();
+        let rows = &out.rows().unwrap().rows;
+        rows.iter()
+            .map(|r| r.get(0).as_str().unwrap().to_string())
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    let big = db.table("big").unwrap();
+
+    let text = explain("SELECT * FROM big WHERE id = 7");
+    assert!(text.contains("IndexScan(big id=7)"), "{text}");
+    assert!(
+        big.cached_stats().is_none(),
+        "an equality probe builds no stats"
+    );
+
+    let text = explain("SELECT * FROM big WHERE id >= 400 AND id <= 499");
+    assert!(text.contains("IndexScan(big id=[400..499])"), "{text}");
+    let got = db
+        .execute("SELECT COUNT(*) FROM big WHERE id >= 400 AND id <= 499")
+        .unwrap();
+    assert_eq!(got.rows().unwrap().rows[0].get(0), &Value::Int(100));
+
+    // DML collects its candidates through the same access path.
+    let n = db
+        .execute("UPDATE big SET grp = 99 WHERE id >= 1990 AND id < 2000")
+        .unwrap();
+    assert_eq!(n.affected(), Some(10));
+    let got = db
+        .execute("SELECT COUNT(*) FROM big WHERE grp = 99")
+        .unwrap();
+    assert_eq!(got.rows().unwrap().rows[0].get(0), &Value::Int(10));
+}
